@@ -4,7 +4,7 @@
 use opm_bench::criterion::{criterion_group, criterion_main, Criterion};
 use opm_circuits::grid::PowerGridSpec;
 use opm_circuits::mna::assemble_mna;
-use opm_sparse::ordering::{min_degree, rcm};
+use opm_sparse::ordering::{amd, rcm};
 use opm_sparse::SparseLu;
 use std::hint::black_box;
 
@@ -37,9 +37,9 @@ fn bench(c: &mut Criterion) {
     g.bench_function("lu_rcm", |b| {
         b.iter(|| black_box(SparseLu::factor(&csc, Some(&order_rcm)).unwrap()))
     });
-    let order_md = min_degree(&pencil);
-    g.bench_function("lu_min_degree", |b| {
-        b.iter(|| black_box(SparseLu::factor(&csc, Some(&order_md)).unwrap()))
+    let order_amd = amd(&pencil);
+    g.bench_function("lu_amd", |b| {
+        b.iter(|| black_box(SparseLu::factor(&csc, Some(&order_amd)).unwrap()))
     });
     let lu = SparseLu::factor(&csc, Some(&order_rcm)).unwrap();
     g.bench_function("lu_solve", |b| {

@@ -26,6 +26,22 @@
 //! matrix. Two requests collide only if every bit above agrees, in
 //! which case sharing the factorization is exactly right.
 //!
+//! # Request keys
+//!
+//! Computing [`plan_key`] needs the assembled model, so a server that
+//! keyed only on it would parse the netlist and assemble MNA on every
+//! hit just to throw the result away. [`request_key`] hashes the raw
+//! plan inputs of a JSON request instead — the netlist text (or model
+//! triplets), probes, horizon, initial state and options — and
+//! [`PlanCache::alias`] maps that key to the plan it resolved to. A
+//! warm request then goes request key → alias → plan
+//! ([`PlanCache::get_aliased`]) with no parsing or assembly at all. The
+//! structural key stays the plan's identity: two spellings of one
+//! circuit have two request keys but share one plan. An alias lives
+//! only as long as its plan — it is dropped when the plan is evicted —
+//! and the table holds at most eight aliases per unit of capacity,
+//! dropping the least recently used beyond that.
+//!
 //! # Concurrency & the single-factorization invariant
 //!
 //! Lookups and insertions go through one short-lived mutex; **plans are
@@ -59,13 +75,16 @@
 //! `capacity` entries while builds race; it settles back under the cap
 //! as they publish).
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::engine::SolveOptions;
+use crate::json::Json;
 use crate::session::{SimModel, SimPlan, Simulation};
 use crate::OpmError;
 use opm_sparse::CsrMatrix;
 use opm_system::DescriptorSystem;
+use opm_waveform::InputSet;
 
 /// The 128-bit structural hash a plan is interned under.
 pub type PlanKey = (u64, u64);
@@ -85,6 +104,37 @@ pub fn plan_key(sim: &Simulation, opts: &SolveOptions) -> PlanKey {
             h.f64_slice(x0);
         }
         None => h.tag(0),
+    }
+    h.finish()
+}
+
+/// Hashes the members `fields` of a request document into a 128-bit
+/// request key, with the same hash as [`plan_key`]. Each field hashes
+/// its name, whether it is present, and its value tree; strings hash
+/// their bytes and numbers their bits, so any textual change to a plan
+/// input gives a new key.
+///
+/// ```
+/// use opm_core::cache::request_key;
+/// use opm_core::json::Json;
+/// let a = Json::parse(r#"{"netlist": "R1 a 0 1", "horizon": 1e-3, "scenarios": []}"#).unwrap();
+/// let b = Json::parse(r#"{"netlist": "R1 a 0 1", "horizon": 1e-3}"#).unwrap();
+/// let c = Json::parse(r#"{"netlist": "R1 a 0 2", "horizon": 1e-3}"#).unwrap();
+/// let fields = ["netlist", "horizon"];
+/// assert_eq!(request_key(&a, &fields), request_key(&b, &fields));
+/// assert_ne!(request_key(&a, &fields), request_key(&c, &fields));
+/// ```
+pub fn request_key(doc: &Json, fields: &[&str]) -> PlanKey {
+    let mut h = PairHash::new();
+    for field in fields {
+        h.bytes(field.as_bytes());
+        match doc.get(field) {
+            Some(v) => {
+                h.tag(1);
+                h.json(v);
+            }
+            None => h.tag(0),
+        }
     }
     h.finish()
 }
@@ -134,6 +184,50 @@ impl PairHash {
         self.usize(xs.len());
         for &x in xs {
             self.f64(x);
+        }
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.usize(bytes.len());
+        for &b in bytes {
+            self.byte(b);
+        }
+    }
+
+    fn json(&mut self, v: &Json) {
+        match v {
+            Json::Null => self.tag(0),
+            Json::Bool(b) => {
+                self.tag(1);
+                self.tag(u8::from(*b));
+            }
+            Json::Int(i) => {
+                self.tag(2);
+                self.u64(*i as u64);
+            }
+            Json::Num(x) => {
+                self.tag(3);
+                self.f64(*x);
+            }
+            Json::Str(s) => {
+                self.tag(4);
+                self.bytes(s.as_bytes());
+            }
+            Json::Arr(items) => {
+                self.tag(5);
+                self.usize(items.len());
+                for item in items {
+                    self.json(item);
+                }
+            }
+            Json::Obj(pairs) => {
+                self.tag(6);
+                self.usize(pairs.len());
+                for (k, item) in pairs {
+                    self.bytes(k.as_bytes());
+                    self.json(item);
+                }
+            }
         }
     }
 
@@ -252,6 +346,23 @@ use crate::sync::StdSync;
 /// `PlanKey -> Arc<SimPlan>` and owns the plan-specific keying.
 pub struct PlanCache {
     gate: GateCache<PlanKey, Arc<SimPlan>, OpmError, StdSync>,
+    aliases: Mutex<Aliases>,
+}
+
+/// Aliases kept per unit of plan capacity (see [`PlanCache::alias`]).
+const ALIASES_PER_PLAN: usize = 8;
+
+/// Request key → plan key, with the request's own sources.
+#[derive(Default)]
+struct Aliases {
+    map: HashMap<PlanKey, Alias>,
+    tick: u64,
+}
+
+struct Alias {
+    plan: PlanKey,
+    sources: Option<InputSet>,
+    last_used: u64,
 }
 
 impl std::fmt::Debug for PlanCache {
@@ -275,7 +386,69 @@ impl PlanCache {
                     "plan build panicked; the panicking request reports it".into(),
                 )
             }),
+            aliases: Mutex::default(),
         }
+    }
+
+    fn aliases(&self) -> std::sync::MutexGuard<'_, Aliases> {
+        self.aliases.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The plan `request` was aliased to, with the sources recorded for
+    /// it, counted as a hit — no parsing, assembly or structural
+    /// hashing. `None`, with nothing counted, when there is no alias or
+    /// its plan has been evicted (the alias is dropped then); the caller
+    /// builds the session and goes through [`PlanCache::get_or_intern`].
+    pub fn get_aliased(&self, request: PlanKey) -> Option<(Arc<SimPlan>, Option<InputSet>)> {
+        let mut aliases = self.aliases();
+        aliases.tick += 1;
+        let tick = aliases.tick;
+        let alias = aliases.map.get_mut(&request)?;
+        match self.gate.get(alias.plan) {
+            Some(plan) => {
+                alias.last_used = tick;
+                Some((plan, alias.sources.clone()))
+            }
+            None => {
+                aliases.map.remove(&request);
+                None
+            }
+        }
+    }
+
+    /// Records that requests keyed `request` resolve to the plan interned
+    /// under `key`, driven by `sources` when they post no scenarios.
+    /// Aliases of evicted plans are dropped here, and beyond eight
+    /// aliases per unit of capacity the least recently used goes.
+    pub fn alias(&self, request: PlanKey, key: PlanKey, sources: Option<InputSet>) {
+        let live: Vec<PlanKey> = self.keys_by_recency();
+        let cap = ALIASES_PER_PLAN * self.stats().capacity;
+        let mut aliases = self.aliases();
+        aliases.tick += 1;
+        let last_used = aliases.tick;
+        aliases.map.insert(
+            request,
+            Alias {
+                plan: key,
+                sources,
+                last_used,
+            },
+        );
+        aliases.map.retain(|_, a| live.contains(&a.plan));
+        while aliases.map.len() > cap {
+            let lru = aliases
+                .map
+                .iter()
+                .min_by_key(|(_, a)| a.last_used)
+                .map(|(&k, _)| k);
+            let Some(lru) = lru else { break };
+            aliases.map.remove(&lru);
+        }
+    }
+
+    /// Request keys currently aliased to interned plans.
+    pub fn num_aliases(&self) -> usize {
+        self.aliases().map.len()
     }
 
     /// The interned plan for `(sim, opts)`, factoring one on a miss.
@@ -347,10 +520,11 @@ impl PlanCache {
         self.gate.is_empty()
     }
 
-    /// Drops every interned plan (counters are kept; in-flight builds
+    /// Drops every interned plan and alias (counters are kept; in-flight builds
     /// complete and hand their plan to their waiters, uncached).
     pub fn clear(&self) {
         self.gate.clear();
+        self.aliases().map.clear();
     }
 
     /// The interned plans, most recently used first — what a `/metrics`
@@ -489,6 +663,25 @@ mod tests {
         );
         slow.join().unwrap();
         assert_eq!(cache.stats().misses, 2);
+    }
+
+    /// A request-key alias serves its plan as a counted hit, and goes
+    /// when its plan is evicted.
+    #[test]
+    fn alias_lives_and_dies_with_its_plan() {
+        let cache = PlanCache::new(1);
+        let (a, _) = cache.get_or_intern((1, 1), || tiny_plan(16)).unwrap();
+        cache.alias((9, 1), (1, 1), None);
+        let (hit, sources) = cache.get_aliased((9, 1)).unwrap();
+        assert!(Arc::ptr_eq(&hit, &a) && sources.is_none());
+        assert!(cache.get_aliased((9, 2)).is_none());
+        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
+
+        cache.get_or_intern((2, 2), || tiny_plan(32)).unwrap(); // evicts (1, 1)
+        cache.alias((9, 2), (2, 2), None);
+        assert_eq!(cache.num_aliases(), 1);
+        assert!(cache.get_aliased((9, 1)).is_none());
+        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 2));
     }
 
     /// Eviction only considers finished plans and keeps the cache at

@@ -10,9 +10,11 @@
 //! thin *strategies* over the primitives in this module:
 //!
 //! - [`validate_coeff_inputs`] / [`validate_horizon`] — argument checks;
-//! - [`factor_pencil`] — RCM-ordered sparse LU with error mapping;
+//! - [`fill_ordering`] — the fill-reducing order of a pencil pattern:
+//!   RCM or AMD, whichever the elimination tree predicts fills less;
+//! - [`factor_pencil`] — sparse LU in that order, with error mapping;
 //! - [`PencilFamily`] — the many-pencil hot path: one union pattern, one
-//!   RCM ordering and one symbolic analysis shared by every shift
+//!   ordering and one symbolic analysis shared by every shift
 //!   `σ·E − A`, with numeric-only refactorization per shift
 //!   ([`PencilFamily::factor`]) and a parallel batch form
 //!   ([`PencilFamily::factor_all`]);
@@ -61,7 +63,7 @@ use crate::metrics::FactorProfile;
 use crate::result::OpmResult;
 use crate::OpmError;
 use opm_sparse::lu::LuOptions;
-use opm_sparse::ordering::rcm;
+use opm_sparse::ordering::{amd_of, rcm_of, symmetric_adjacency};
 use opm_sparse::pencil::ShiftedPencil;
 use opm_sparse::{CsrMatrix, Permutation, SparseError, SparseLu, SymbolicLu};
 use opm_system::{DescriptorSystem, FractionalSystem, MultiTermSystem, SecondOrderSystem};
@@ -126,13 +128,111 @@ pub fn validate_x0(n: usize, x0: &[f64]) -> Result<(), OpmError> {
 // Pencil factorization
 // ---------------------------------------------------------------------------
 
-/// Factors an OPM pencil with the RCM fill-reducing ordering, mapping
-/// failures onto [`OpmError::SingularPencil`].
+/// The fill-reducing ordering [`fill_ordering`] chose for a pencil.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum FillOrdering {
+    /// Reverse Cuthill–McKee ([`opm_sparse::ordering::rcm`]): the
+    /// default, and the choice on ties.
+    #[default]
+    Rcm,
+    /// Approximate minimum degree ([`opm_sparse::ordering::amd`]).
+    Amd,
+}
+
+impl FillOrdering {
+    /// Lower-case name, as reported in profiles.
+    pub fn name(self) -> &'static str {
+        match self {
+            FillOrdering::Rcm => "rcm",
+            FillOrdering::Amd => "amd",
+        }
+    }
+}
+
+/// The column order every pencil factorization uses: RCM and AMD are
+/// both computed, and AMD is kept only when its predicted factor size
+/// ([`predicted_factor_nnz`]) is strictly smaller. RCM wins ties, so
+/// banded and tree-like patterns (chains, ladders) keep their RCM
+/// factors bit for bit; 2D meshes, where RCM's envelope fills in, get
+/// AMD. When RCM predicts no fill at all, nothing can beat it and AMD
+/// is skipped. The choice depends on the pattern alone.
+pub fn fill_ordering(pattern: &CsrMatrix) -> (Permutation, FillOrdering) {
+    let adj = symmetric_adjacency(pattern);
+    let by_rcm = rcm_of(&adj);
+    let rcm_nnz = factor_nnz_of(&adj, &by_rcm);
+    // Every entry of the symmetrized pattern is stored in L or U.
+    let no_fill = adj.iter().map(Vec::len).sum::<usize>() + adj.len();
+    if rcm_nnz == no_fill {
+        return (by_rcm, FillOrdering::Rcm);
+    }
+    let by_amd = amd_of(adj.clone());
+    if factor_nnz_of(&adj, &by_amd) < rcm_nnz {
+        (by_amd, FillOrdering::Amd)
+    } else {
+        (by_rcm, FillOrdering::Rcm)
+    }
+}
+
+/// Predicted stored entries of `L + U` (diagonal once) when `pattern` is
+/// factored in `order` with diagonal pivots: twice the strictly-lower
+/// Cholesky count of the symmetrized pattern, plus `n`. Row `k` of the
+/// Cholesky factor is the union of the elimination-tree paths from each
+/// entry `(k, j)`, `j < k`, up to `k` (CSparse's `ereach`), so the count
+/// is `O(nnz(L))` pattern work and no arithmetic. It equals
+/// [`SymbolicLu::factor_nnz`] whenever the factorization keeps its
+/// diagonal pivots, as it does on SPD pencils.
+pub fn predicted_factor_nnz(pattern: &CsrMatrix, order: &Permutation) -> usize {
+    factor_nnz_of(&symmetric_adjacency(pattern), order)
+}
+
+/// [`predicted_factor_nnz`] over prebuilt symmetric adjacency lists.
+fn factor_nnz_of(adj: &[Vec<usize>], order: &Permutation) -> usize {
+    const NONE: usize = usize::MAX;
+    let n = adj.len();
+    let pos = order.inverse();
+    let (mut parent, mut ancestor, mut mark) = (vec![NONE; n], vec![NONE; n], vec![NONE; n]);
+    let mut below = 0usize;
+    for k in 0..n {
+        let lower = || {
+            adj[order.old_of(k)]
+                .iter()
+                .map(|&v| pos.old_of(v))
+                .filter(move |&j| j < k)
+        };
+        // Elimination tree, with path compression through `ancestor`.
+        for j in lower() {
+            let mut i = j;
+            while ancestor[i] != NONE && ancestor[i] != k {
+                let up = ancestor[i];
+                ancestor[i] = k;
+                i = up;
+            }
+            if ancestor[i] == NONE {
+                ancestor[i] = k;
+                parent[i] = k;
+            }
+        }
+        // Row k of L: every tree node on a path from an entry up to k.
+        mark[k] = k;
+        for j in lower() {
+            let mut i = j;
+            while mark[i] != k {
+                mark[i] = k;
+                below += 1;
+                i = parent[i];
+            }
+        }
+    }
+    2 * below + n
+}
+
+/// Factors an OPM pencil in its [`fill_ordering`], mapping failures
+/// onto [`OpmError::SingularPencil`].
 ///
 /// # Errors
 /// [`OpmError::SingularPencil`] when the pencil is numerically singular.
 pub fn factor_pencil(pencil: &CsrMatrix) -> Result<SparseLu, OpmError> {
-    let order = rcm(pencil);
+    let (order, _) = fill_ordering(pencil);
     SparseLu::factor(&pencil.to_csc(), Some(&order))
         .map_err(|e| OpmError::SingularPencil(format!("{e}")))
 }
@@ -144,8 +244,8 @@ pub fn factor_pencil(pencil: &CsrMatrix) -> Result<SparseLu, OpmError> {
 /// analysis, so it pays exactly one pattern union and one pivoted
 /// factor. Call sites that factor *many* shifts of one `(E, A)` pair —
 /// step grids, the adaptive lattice — go through [`PencilFamily`],
-/// which shares the CSC pattern, RCM ordering and symbolic analysis
-/// across all of them.
+/// which shares the CSC pattern, ordering and symbolic analysis across
+/// all of them.
 ///
 /// # Errors
 /// As [`factor_pencil`].
@@ -163,7 +263,7 @@ pub fn factor_shifted_pencil(
 
 /// The shifted-pencil family `σ·E − A` over all shifts, with everything
 /// shift-independent paid **once**: the union CSC pattern
-/// ([`ShiftedPencil`]), the RCM fill-reducing ordering, and — after the
+/// ([`ShiftedPencil`]), the [`fill_ordering`], and — after the
 /// first factorization — the symbolic analysis ([`SymbolicLu`]: fill
 /// pattern, pivot order, elimination reach). Every further shift is a
 /// numeric-only [`SparseLu::refactor`], with an automatic fall back to a
@@ -184,17 +284,20 @@ pub struct PencilFamily {
 }
 
 impl PencilFamily {
-    /// Assembles the union pattern of `E` and `A` and computes the RCM
-    /// ordering — all shift-independent, done once per family.
+    /// Assembles the union pattern of `E` and `A` and chooses its
+    /// [`fill_ordering`] — all shift-independent, done once per family.
     pub fn new(e: &CsrMatrix, a: &CsrMatrix) -> Self {
         let pencil = ShiftedPencil::new(e, a);
-        let order = rcm(&pencil.pattern().to_csr());
+        let (order, ordering) = fill_ordering(&pencil.pattern().to_csr());
         PencilFamily {
             pencil,
             order,
             symbolic: None,
             scratch: Vec::new(),
-            profile: FactorProfile::default(),
+            profile: FactorProfile {
+                ordering,
+                ..FactorProfile::default()
+            },
         }
     }
 
@@ -222,6 +325,7 @@ impl PencilFamily {
         if record {
             let (sym, lu) = SymbolicLu::factor_with(csc, Some(&self.order), LuOptions::default())
                 .map_err(|e| OpmError::SingularPencil(format!("{e}")))?;
+            self.profile.factor_nnz = sym.factor_nnz();
             self.symbolic = Some(sym);
             self.profile.num_symbolic += 1;
             // Supernode observability comes from the family's reference
@@ -410,6 +514,7 @@ impl PencilFamily {
         if self.symbolic.is_none() {
             let (sym, lu) = SymbolicLu::factor_with(&csc, Some(&self.order), LuOptions::default())
                 .map_err(|e| OpmError::SingularPencil(format!("{e}")))?;
+            self.profile.factor_nnz = sym.factor_nnz();
             self.symbolic = Some(sym);
             self.profile.num_symbolic += 1;
             let stats = lu.supernode_stats();
@@ -436,7 +541,7 @@ impl PencilFamily {
 /// # Errors
 /// As [`factor_pencil`].
 pub fn factor_pencil_symbolic(pencil: &CsrMatrix) -> Result<(SymbolicLu, SparseLu), OpmError> {
-    let order = rcm(pencil);
+    let (order, _) = fill_ordering(pencil);
     SymbolicLu::factor_with(&pencil.to_csc(), Some(&order), LuOptions::default())
         .map_err(|e| OpmError::SingularPencil(format!("{e}")))
 }
@@ -464,7 +569,7 @@ pub fn weighted_pencil(
 /// Memoized pencil factorizations keyed by the power-of-two step
 /// exponent — the adaptive linear sweep's factorization cache.
 ///
-/// Backed by a [`PencilFamily`]: the union pattern, RCM ordering and
+/// Backed by a [`PencilFamily`]: the union pattern, ordering and
 /// symbolic analysis are shared across the whole step lattice, so every
 /// cache *miss* after the first is a numeric-only refactorization.
 pub struct FactorCache {

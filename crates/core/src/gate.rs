@@ -226,6 +226,23 @@ where
         }
     }
 
+    /// The interned value for `key` when it is ready, counted as a hit
+    /// and marked most recently used. `None` — with nothing counted —
+    /// when the key is absent or still building; the caller then goes
+    /// through [`GateCache::get_or_build`].
+    pub fn get(&self, key: K) -> Option<V> {
+        self.inner.with(|inner| {
+            inner.tick += 1;
+            let tick = inner.tick;
+            let e = inner.entries.iter_mut().find(|e| e.key == key)?;
+            let Slot::Ready(v) = &e.slot else { return None };
+            let v = v.clone();
+            e.last_used = tick;
+            inner.hits += 1;
+            Some(v)
+        })
+    }
+
     /// Swaps the key's building placeholder for the build's outcome:
     /// `Ok` publishes the value (then trims over-capacity LRU entries),
     /// `Err` removes the placeholder so the next request rebuilds.
@@ -330,6 +347,16 @@ mod tests {
         assert_eq!((v, hit), (10, true));
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.len), (1, 1, 1));
+    }
+
+    #[test]
+    fn get_counts_ready_values_only() {
+        let c = cache(4);
+        assert_eq!(c.get(1), None);
+        c.get_or_build(1, || Ok(10)).unwrap();
+        assert_eq!(c.get(1), Some(10));
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses), (1, 1));
     }
 
     #[test]

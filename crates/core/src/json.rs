@@ -130,6 +130,7 @@ impl Json {
     /// [`JsonError`] with the byte offset of the first problem.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -216,6 +217,7 @@ impl std::error::Error for JsonError {}
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'s> {
+    text: &'s str,
     bytes: &'s [u8],
     pos: usize,
     depth: usize,
@@ -386,14 +388,17 @@ impl Parser<'_> {
                     return Err(self.err("unescaped control character in string"))
                 }
                 Some(_) => {
-                    // Multi-byte UTF-8 passes through verbatim (the
-                    // input is a &str, so it is already valid).
+                    // The whole run up to the next quote, escape or
+                    // control byte is copied at once. Those stop bytes
+                    // are ASCII, so the run ends on a char boundary and
+                    // multi-byte UTF-8 passes through verbatim.
                     let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len() && self.bytes[self.pos] & 0xC0 == 0x80 {
+                    while self.pos < self.bytes.len()
+                        && !matches!(self.bytes[self.pos], b'"' | b'\\' | 0..=0x1f)
+                    {
                         self.pos += 1;
                     }
-                    out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).unwrap());
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -482,6 +487,32 @@ mod tests {
     fn parses_escapes_and_unicode() {
         let v = Json::parse(r#""aé\t😀 π""#).unwrap();
         assert_eq!(v.as_str().unwrap(), "aé\t😀 π");
+    }
+
+    /// A long string mixing plain runs, every escape, surrogate pairs
+    /// and multi-byte UTF-8 survives print∘parse unchanged, and parses
+    /// to the same value as its hand-escaped spelling.
+    #[test]
+    fn long_mixed_escape_string_round_trips() {
+        let mut s = String::new();
+        for i in 0..2000 {
+            s.push_str("R1 n1_1 n1_2 100");
+            s.push(
+                [
+                    '"', '\\', '\n', '\r', '\t', '\u{1}', '\u{1f}', 'é', '😀', '/',
+                ][i % 10],
+            );
+            s.push_str(&"x".repeat(i % 7));
+        }
+        let doc = Json::Obj(vec![("netlist".into(), Json::str(s))]);
+        let text = doc.to_string();
+        assert_eq!(Json::parse(&text).unwrap(), doc);
+        let spelled = r#""a\"b\\c\/d\b\f\n\r\t\u00e9\ud83d\ude00e""#;
+        assert_eq!(
+            Json::parse(spelled).unwrap().as_str(),
+            Some("a\"b\\c/d\u{8}\u{c}\n\r\té😀e")
+        );
+        assert!(Json::parse("\"run then \u{1} control\"").is_err());
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Error metrics used by the experiment harness, plus the factorization
 //! cost profile the session layer reports.
 
+use crate::engine::FillOrdering;
+
 /// Factorization-cost observability for a plan, cache or pencil family:
 /// how much symbolic (full pivoted analysis) versus numeric-only
 /// (refactorization against a shared [`opm_sparse::SymbolicLu`]) work
@@ -40,6 +42,12 @@ pub struct FactorProfile {
     /// Total pivotal columns of the reference factorization (the
     /// denominator for the coverage ratios; 0 when not captured).
     pub factor_cols: usize,
+    /// Stored entries of the reference factorization's `L + U` (0 when
+    /// not captured) — what the fill-reducing ordering bought.
+    pub factor_nnz: usize,
+    /// The fill-reducing ordering chosen for the pencil pattern (see
+    /// [`crate::engine::fill_ordering`]).
+    pub ordering: FillOrdering,
     /// Newton iterations performed by `solve_newton` /
     /// `solve_newton_windowed` (one per column on linear netlists —
     /// those converge in a single iteration by construction).
@@ -96,6 +104,8 @@ impl FactorProfile {
             ("supernode_cols".into(), int(self.supernode_cols)),
             ("dense_tail_cols".into(), int(self.dense_tail_cols)),
             ("factor_cols".into(), int(self.factor_cols)),
+            ("factor_nnz".into(), int(self.factor_nnz)),
+            ("ordering".into(), Json::str(self.ordering.name())),
             ("newton_iters".into(), int(self.newton_iters)),
             ("newton_refactors".into(), int(self.newton_refactors)),
             (

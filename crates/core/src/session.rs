@@ -5,7 +5,7 @@
 //! across solves: a [`Simulation`] owns a model (hand-built or assembled
 //! straight from a netlist), [`Simulation::plan`] validates it against a
 //! [`SolveOptions`] and performs every stimulus-independent step — shape
-//! checks, RCM ordering, pencil factorization, fractional series /
+//! checks, fill ordering, pencil factorization, fractional series /
 //! finite-recurrence polynomials — and the resulting [`SimPlan`] replays
 //! only the cheap part for each scenario:
 //!
@@ -46,8 +46,8 @@ use crate::adaptive::{self, AdaptiveOpmOptions, StepGridFactors};
 use crate::cancel::CancelToken;
 use crate::engine::{
     apply_b_block, factor_pencil_symbolic, validate_coeff_inputs, validate_horizon, validate_x0,
-    BlockColumnSweep, BlockOutcome, FactorCache, Method, OutputMap, PencilFamily, SolveOptions,
-    SweepOutcome,
+    BlockColumnSweep, BlockOutcome, FactorCache, FillOrdering, Method, OutputMap, PencilFamily,
+    SolveOptions, SweepOutcome,
 };
 use crate::kron_solve::{fractional_as_multiterm, kron_prepare, kron_solve_prepared, KronFactors};
 use crate::metrics::FactorProfile;
@@ -317,7 +317,7 @@ impl Simulation {
     }
 
     /// Validates the session against `opts` and performs every
-    /// stimulus-independent step once: shape checks, pencil assembly, RCM
+    /// stimulus-independent step once: shape checks, pencil assembly, fill
     /// ordering, sparse LU factorization, fractional series, recurrence
     /// polynomials. The returned [`SimPlan`] replays scenarios against
     /// the cached factorization.
@@ -890,6 +890,8 @@ const ONE_SYMBOLIC: FactorProfile = FactorProfile {
     supernode_cols: 0,
     dense_tail_cols: 0,
     factor_cols: 0,
+    factor_nnz: 0,
+    ordering: FillOrdering::Rcm,
     newton_iters: 0,
     newton_refactors: 0,
     newton_fresh_fallbacks: 0,
@@ -1301,6 +1303,11 @@ impl SimPlan {
     /// State dimension of the underlying model.
     pub fn order(&self) -> usize {
         self.model.order()
+    }
+
+    /// Input channels of the underlying model (columns of `B`).
+    pub fn num_inputs(&self) -> usize {
+        self.model.num_inputs()
     }
 
     /// The strategy the plan was validated for (same names as

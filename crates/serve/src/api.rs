@@ -21,7 +21,21 @@
 //! "a": …, "b": …, "c": …, "alpha": …}`); `"alpha"` makes it
 //! fractional. Omitting `"scenarios"` for a netlist uses the netlist's
 //! own sources.
+//!
+//! # The warm-hit path
+//!
+//! A body is parsed to JSON once ([`RequestDoc::parse`]), and its plan
+//! inputs — `netlist` or `model`, `probes`, `horizon`, `x0` and
+//! `options` — are hashed into a request key
+//! ([`opm_core::cache::request_key`]). The server looks that key up as
+//! an alias of an interned plan; on a hit it serves the plan with no
+//! netlist parsing, MNA assembly or structural hashing. Only on a miss
+//! does [`RequestDoc::session`] build the [`Simulation`], whose
+//! structural [`opm_core::cache::plan_key`] finds or builds the plan.
+//! The stimulus half of the body ([`RequestDoc::drive`]) is parsed on
+//! every request either way.
 
+use opm_core::cache::{request_key, PlanKey};
 use opm_core::json::Json;
 use opm_core::{OpmResult, Simulation, SolveOptions};
 use opm_sparse::{CooMatrix, CsrMatrix};
@@ -47,12 +61,21 @@ impl ApiError {
     }
 }
 
-/// A parsed `/solve`, `/sweep` or `/stream` request.
-pub struct SimRequest {
-    /// The session the plan is (or was) built from.
-    pub sim: Simulation,
-    /// Plan options — part of the cache key.
-    pub opts: SolveOptions,
+/// The body members a plan depends on, in request-key order. Every
+/// member [`RequestDoc::session`] reads must be listed here, or two
+/// bodies that build different plans could share a request key.
+const PLAN_INPUTS: [&str; 6] = ["netlist", "model", "probes", "horizon", "x0", "options"];
+
+/// A request body parsed to JSON, with the request key of its plan
+/// inputs. Nothing is built from it yet.
+pub struct RequestDoc {
+    doc: Json,
+    key: PlanKey,
+}
+
+/// The stimulus half of a request: what varies per request without
+/// touching the plan.
+pub struct Drive {
     /// Explicit stimuli; empty means "use the netlist's sources".
     pub scenarios: Vec<InputSet>,
     /// Window count for `/stream` (and optionally windowed `/solve`).
@@ -61,16 +84,33 @@ pub struct SimRequest {
     pub levels: Option<Vec<f64>>,
 }
 
-impl SimRequest {
-    /// Parses a request body.
+impl RequestDoc {
+    /// Parses a request body to JSON and hashes its plan inputs.
     ///
     /// # Errors
-    /// [`ApiError`] (status 400) naming the offending field.
-    pub fn parse(body: &[u8]) -> Result<SimRequest, ApiError> {
+    /// [`ApiError`] (status 400) when the body is not UTF-8 JSON.
+    pub fn parse(body: &[u8]) -> Result<RequestDoc, ApiError> {
         let text =
             std::str::from_utf8(body).map_err(|_| ApiError::bad("request body is not UTF-8"))?;
         let doc = Json::parse(text).map_err(|e| ApiError::bad(e.to_string()))?;
+        let key = request_key(&doc, &PLAN_INPUTS);
+        Ok(RequestDoc { doc, key })
+    }
 
+    /// The request key: equal for bodies whose plan inputs are spelled
+    /// identically, whatever their stimuli.
+    pub fn key(&self) -> PlanKey {
+        self.key
+    }
+
+    /// Builds the session and plan options from the plan inputs: the
+    /// netlist parse and MNA assembly (or triplet assembly) that a
+    /// request-key hit skips.
+    ///
+    /// # Errors
+    /// [`ApiError`] (status 400) naming the offending field.
+    pub fn session(&self) -> Result<(Simulation, SolveOptions), ApiError> {
+        let doc = &self.doc;
         let horizon = doc
             .get("horizon")
             .and_then(Json::as_f64)
@@ -112,7 +152,15 @@ impl SimRequest {
             Some(o) => parse_options(o)?,
             None => SolveOptions::new(),
         };
+        Ok((sim, opts))
+    }
 
+    /// Parses the stimulus half: `scenarios`, `windows` and `levels`.
+    ///
+    /// # Errors
+    /// [`ApiError`] (status 400) naming the offending field.
+    pub fn drive(&self) -> Result<Drive, ApiError> {
+        let doc = &self.doc;
         let scenarios = match doc.get("scenarios") {
             Some(s) => {
                 let list = s
@@ -136,7 +184,65 @@ impl SimRequest {
             Some(l) => Some(parse_f64_array(l, "levels")?),
             None => None,
         };
+        Ok(Drive {
+            scenarios,
+            windows,
+            levels,
+        })
+    }
+}
 
+impl Drive {
+    /// The stimuli to run: explicit scenarios, or `sources` (the
+    /// netlist's own) when none were posted.
+    ///
+    /// # Errors
+    /// 400 when neither is available.
+    pub fn stimuli(&self, sources: Option<&InputSet>) -> Result<Vec<InputSet>, ApiError> {
+        stimuli(&self.scenarios, sources)
+    }
+}
+
+fn stimuli(scenarios: &[InputSet], sources: Option<&InputSet>) -> Result<Vec<InputSet>, ApiError> {
+    if !scenarios.is_empty() {
+        return Ok(scenarios.to_vec());
+    }
+    match sources {
+        Some(u) => Ok(vec![u.clone()]),
+        None => Err(ApiError::bad(
+            "`scenarios` is required when the model is not a netlist",
+        )),
+    }
+}
+
+/// A fully built `/solve`, `/sweep` or `/stream` request: the session
+/// and the stimuli, with no cache involved.
+pub struct SimRequest {
+    /// The session the plan is (or was) built from.
+    pub sim: Simulation,
+    /// Plan options — part of the cache key.
+    pub opts: SolveOptions,
+    /// Explicit stimuli; empty means "use the netlist's sources".
+    pub scenarios: Vec<InputSet>,
+    /// Window count for `/stream` (and optionally windowed `/solve`).
+    pub windows: Option<usize>,
+    /// Drive levels for `/sweep`.
+    pub levels: Option<Vec<f64>>,
+}
+
+impl SimRequest {
+    /// Parses a request body and builds its session.
+    ///
+    /// # Errors
+    /// [`ApiError`] (status 400) naming the offending field.
+    pub fn parse(body: &[u8]) -> Result<SimRequest, ApiError> {
+        let doc = RequestDoc::parse(body)?;
+        let (sim, opts) = doc.session()?;
+        let Drive {
+            scenarios,
+            windows,
+            levels,
+        } = doc.drive()?;
         Ok(SimRequest {
             sim,
             opts,
@@ -152,15 +258,7 @@ impl SimRequest {
     /// # Errors
     /// 400 when neither is available.
     pub fn stimuli(&self) -> Result<Vec<InputSet>, ApiError> {
-        if !self.scenarios.is_empty() {
-            return Ok(self.scenarios.clone());
-        }
-        match self.sim.inputs() {
-            Some(u) => Ok(vec![u.clone()]),
-            None => Err(ApiError::bad(
-                "`scenarios` is required when the model is not a netlist",
-            )),
-        }
+        stimuli(&self.scenarios, self.sim.inputs())
     }
 }
 

@@ -19,8 +19,23 @@
 //! `Arc<SimPlan>`, concurrently with every other connection (plans are
 //! `Sync`; batch solves fan out over `opm-par` worker threads
 //! internally). `/metrics` exposes the per-plan
-//! [`opm_core::FactorProfile`], so N identical solve requests visibly
-//! cost 1 symbolic + 1 numeric factorization total.
+//! [`opm_core::FactorProfile`] (including the chosen fill ordering and
+//! factor size), so N identical solve requests visibly cost 1 symbolic +
+//! 1 numeric factorization total.
+//!
+//! # The warm-hit path
+//!
+//! A hit does not even rebuild the model. The handler parses the body's
+//! JSON once and hashes its plan inputs (netlist or model, probes,
+//! horizon, `x0`, options) into a request key
+//! ([`api::RequestDoc`]). The cache keeps that key as an alias of the
+//! plan it resolved to, so a repeated body goes request key → alias →
+//! plan and straight to the solve. Netlist parsing, MNA assembly and the
+//! structural hash run only on a miss; the structural key then still
+//! lets two spellings of one circuit share one plan. Aliases carry the
+//! netlist's own sources (used when a body posts no `scenarios`), and
+//! they are evicted with their plan. `/solve`, `/sweep` and `/stream`
+//! all take this path.
 //!
 //! # Fault tolerance
 //!
@@ -76,8 +91,9 @@ use std::time::{Duration, Instant};
 use opm_core::cache::plan_key;
 use opm_core::json::Json;
 use opm_core::{CancelToken, NewtonOptions, OpmError, PlanCache, SimPlan, WindowedOptions};
+use opm_waveform::InputSet;
 
-use api::{error_json, ApiError, SimRequest};
+use api::{error_json, ApiError, RequestDoc};
 use fault::{FaultSpec, FaultStats};
 use http::{ChunkedWriter, Limits, Request};
 
@@ -476,14 +492,31 @@ impl RequestCtx<'_> {
         }
     }
 
-    /// Cache lookup with the build-panic injection point: the panic
-    /// fires *inside* the build closure, exactly where a real
-    /// factorization bug would, so it exercises the cache's latch
-    /// resolution and poison recovery — not a mock of them.
-    fn plan(&self, parsed: &SimRequest) -> Result<(Arc<SimPlan>, bool), OpmError> {
-        let key = plan_key(&parsed.sim, &parsed.opts);
+    /// Resolves a request to its plan. A request-key hit serves the
+    /// aliased plan with no netlist parsing or MNA assembly. A miss
+    /// builds the session, lets `ready` check the stimuli against its
+    /// sources before any factorization, then goes through the
+    /// structural key and records the alias.
+    ///
+    /// The build-panic injection point fires *inside* the build
+    /// closure, exactly where a real factorization bug would, so it
+    /// exercises the cache's latch resolution and poison recovery — not
+    /// a mock of them.
+    fn plan<T>(
+        &self,
+        doc: &RequestDoc,
+        ready: impl FnOnce(Option<&InputSet>) -> Result<T, ApiError>,
+    ) -> Result<(Arc<SimPlan>, bool, T), Reply> {
+        let cache = &self.state.cache;
+        if let Some((plan, sources)) = cache.get_aliased(doc.key()) {
+            let t = ready(sources.as_ref())?;
+            return Ok((plan, true, t));
+        }
+        let (sim, opts) = doc.session()?;
+        let t = ready(sim.inputs())?;
+        let key = plan_key(&sim, &opts);
         let inject = matches!(self.fault, Some(FaultSpec::BuildPanic));
-        self.state.cache.get_or_intern(key, || {
+        let (plan, hit) = cache.get_or_intern(key, || {
             if inject {
                 self.state
                     .faults
@@ -491,8 +524,10 @@ impl RequestCtx<'_> {
                     .fetch_add(1, Ordering::Relaxed);
                 panic!("injected plan-build panic (X-Fault: build-panic)");
             }
-            parsed.sim.plan(&parsed.opts)
-        })
+            sim.plan(&opts)
+        })?;
+        cache.alias(doc.key(), key, sim.inputs().cloned());
+        Ok((plan, hit, t))
     }
 
     fn apply_slow_solve(&self) {
@@ -677,22 +712,22 @@ fn plan_header(cache_hit: bool, plan: &SimPlan) -> Vec<(String, Json)> {
 
 fn handle_solve(stream: &mut TcpStream, req: &Request, ctx: &RequestCtx<'_>) -> Result<(), Reply> {
     let timer = Timer::start(&ctx.state.solve);
-    let parsed = SimRequest::parse(&req.body)?;
-    let stimuli = parsed.stimuli()?;
-    let (plan, hit) = ctx.plan(&parsed)?;
+    let doc = RequestDoc::parse(&req.body)?;
+    let drive = doc.drive()?;
+    let (plan, hit, stimuli) = ctx.plan(&doc, |sources| drive.stimuli(sources))?;
     ctx.apply_slow_solve();
     ctx.check_deadline()?;
     let results = if plan.has_nonlinear() {
         // Nonlinear netlists solve per-column Newton over the same plan;
         // the linear batch entry points reject them by design.
         let nopts = ctx.newton_opts();
-        let windows = parsed.windows.unwrap_or(1);
+        let windows = drive.windows.unwrap_or(1);
         stimuli
             .iter()
             .map(|ws| plan.solve_newton_windowed(ws, windows, &nopts))
             .collect::<Result<Vec<_>, _>>()?
     } else {
-        match parsed.windows {
+        match drive.windows {
             Some(w) => plan.solve_windowed_batch_opts(
                 &stimuli,
                 &ctx.windowed_opts(w),
@@ -714,15 +749,15 @@ fn handle_solve(stream: &mut TcpStream, req: &Request, ctx: &RequestCtx<'_>) -> 
 
 fn handle_sweep(stream: &mut TcpStream, req: &Request, ctx: &RequestCtx<'_>) -> Result<(), Reply> {
     let timer = Timer::start(&ctx.state.sweep);
-    let parsed = SimRequest::parse(&req.body)?;
-    let levels = parsed
+    let doc = RequestDoc::parse(&req.body)?;
+    let levels = doc
+        .drive()?
         .levels
-        .clone()
         .ok_or_else(|| ApiError::bad("`levels` (an array of numbers) is required for /sweep"))?;
-    let (plan, hit) = ctx.plan(&parsed)?;
+    let (plan, hit, ()) = ctx.plan(&doc, |_| Ok(()))?;
     ctx.apply_slow_solve();
     ctx.check_deadline()?;
-    let p = parsed.sim.model().num_inputs();
+    let p = plan.num_inputs();
     let results = plan.sweep(&levels, |&v| {
         opm_waveform::InputSet::new(vec![opm_waveform::Waveform::Dc(v); p])
     })?;
@@ -740,18 +775,18 @@ fn handle_sweep(stream: &mut TcpStream, req: &Request, ctx: &RequestCtx<'_>) -> 
 
 fn handle_stream(stream: &mut TcpStream, req: &Request, ctx: &RequestCtx<'_>) -> Result<(), Reply> {
     let timer = Timer::start(&ctx.state.stream);
-    let parsed = SimRequest::parse(&req.body)?;
-    let windows = parsed
+    let doc = RequestDoc::parse(&req.body)?;
+    let drive = doc.drive()?;
+    let windows = drive
         .windows
         .ok_or_else(|| ApiError::bad("`windows` (a positive integer) is required for /stream"))?;
-    let stimuli = parsed.stimuli()?;
-    let Some(inputs) = stimuli.first() else {
-        return Err(ApiError::bad("/stream takes exactly one scenario").into());
-    };
-    if stimuli.len() > 1 {
-        return Err(ApiError::bad("/stream takes exactly one scenario").into());
-    }
-    let (plan, hit) = ctx.plan(&parsed)?;
+    let (plan, hit, inputs) = ctx.plan(&doc, |sources| {
+        let mut stimuli = drive.stimuli(sources)?;
+        match stimuli.pop() {
+            Some(inputs) if stimuli.is_empty() => Ok(inputs),
+            _ => Err(ApiError::bad("/stream takes exactly one scenario")),
+        }
+    })?;
     ctx.apply_slow_solve();
     // Check before headers commit the status line: a blown deadline
     // here still gets a clean 503.
@@ -774,7 +809,7 @@ fn handle_stream(stream: &mut TcpStream, req: &Request, ctx: &RequestCtx<'_>) ->
     let mut sink_err: Option<std::io::Error> = None;
     let mut chunks_sent = 0usize;
     let mut dropped = false;
-    let streamed = plan.solve_streaming_opts(inputs, &ctx.windowed_opts(windows), |block| {
+    let streamed = plan.solve_streaming_opts(&inputs, &ctx.windowed_opts(windows), |block| {
         if sink_err.is_some() || dropped {
             return;
         }
@@ -843,8 +878,15 @@ fn handle_metrics(stream: &mut TcpStream, state: &ServerState) -> Result<(), Rep
             ])
         })
         .collect();
+    let mut plan_cache = state.cache.stats().to_json();
+    if let Json::Obj(fields) = &mut plan_cache {
+        fields.push((
+            "aliases".into(),
+            Json::Int(state.cache.num_aliases() as i64),
+        ));
+    }
     let doc = Json::Obj(vec![
-        ("plan_cache".into(), state.cache.stats().to_json()),
+        ("plan_cache".into(), plan_cache),
         ("plans".into(), Json::Arr(plans)),
         (
             "requests".into(),
