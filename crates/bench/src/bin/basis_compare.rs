@@ -12,10 +12,9 @@
 
 use opm_basis::{Basis, BpfBasis, HaarBasis, LegendreBasis, WalshBasis};
 use opm_bench::{row, rule};
-// Non-BPF bases solve only through the basis-generic oracle; the plan
-// layer is BPF-specialized by design, so the deprecated entry stays.
-#[allow(deprecated)]
-use opm_core::general_basis::solve_general_basis;
+// Non-BPF bases solve through the basis-generic integral form; the
+// `Simulation` plan layer is BPF-specialized by design.
+use opm_core::general_basis::GeneralBasisPlan;
 use opm_sparse::{CooMatrix, CsrMatrix};
 use opm_system::DescriptorSystem;
 use opm_waveform::{InputSet, Waveform};
@@ -52,8 +51,9 @@ fn main() {
         ];
         let mut cells = vec![format!("{m}")];
         for basis in &bases {
-            #[allow(deprecated)]
-            let r = solve_general_basis(&sys, basis.as_ref(), &inputs, &[0.0]).unwrap();
+            let r = GeneralBasisPlan::new(&sys, basis.as_ref(), &[0.0])
+                .and_then(|plan| plan.solve(&inputs))
+                .unwrap();
             let mut err = 0.0f64;
             for i in 0..500 {
                 let t = t_end * (i as f64 + 0.5) / 500.0;
@@ -68,8 +68,9 @@ fn main() {
     println!("\nWalsh low-sequency truncation (m = 32 → keep 4 coefficients):");
     let m = 32;
     let wb = WalshBasis::new(m, t_end);
-    #[allow(deprecated)]
-    let r = solve_general_basis(&sys, &wb, &inputs, &[0.0]).unwrap();
+    let r = GeneralBasisPlan::new(&sys, &wb, &[0.0])
+        .and_then(|plan| plan.solve(&inputs))
+        .unwrap();
     let mut coeffs: Vec<f64> = (0..m).map(|j| r.x_coeffs.get(0, j)).collect();
     for c in coeffs.iter_mut().skip(4) {
         *c = 0.0;

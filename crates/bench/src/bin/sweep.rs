@@ -1,7 +1,7 @@
 //! **Plan-reuse sweep benchmark** — the `SimPlan` session economy on the
 //! Table II power-grid circuit: 100 load-current scenarios solved (a)
-//! naively, one `Problem::solve` each (re-validate, re-order, re-factor
-//! per scenario), and (b) through one `Simulation::plan` whose single
+//! naively, one fresh one-shot plan each (re-validate, re-order,
+//! re-factor per scenario), and (b) through one `Simulation::plan` whose single
 //! factorization serves the whole batch in one interleaved pass.
 //!
 //! On top of the plan-reuse record, two hot-path records for the
@@ -16,7 +16,7 @@
 //!   workers (`SimPlan::solve_batch_with_threads`), with the hard
 //!   requirement that the results are bit-identical.
 //! - `windowed_vs_whole` — a 100τ-horizon RC ladder: one whole-horizon
-//!   plan at `W·m` columns vs `SimPlan::solve_windowed` over `W`
+//!   plan at `W·m` columns vs `SimPlan::solve_windowed_opts` over `W`
 //!   windows of `m` columns, asserting the 1-symbolic + 1-numeric
 //!   factorization invariant and ≤ 1e-9 agreement, plus a 512-window
 //!   streaming record at per-window resident memory.
@@ -39,7 +39,7 @@ use opm_circuits::mna::{assemble_mna, Output};
 use opm_circuits::na::assemble_na;
 use opm_core::engine::{factor_pencil, PencilFamily};
 use opm_core::json::Json;
-use opm_core::{NewtonOptions, Problem, Simulation, SolveOptions, WindowedOptions};
+use opm_core::{NewtonOptions, Simulation, SolveOptions, WindowedOptions};
 use opm_waveform::{InputSet, Waveform};
 
 const SCENARIOS: usize = 100;
@@ -109,16 +109,17 @@ fn main() {
         na.system.order()
     );
 
-    // (a) Naive: independent Problem::solve per scenario. Same rep count
+    // (a) Naive: a fresh one-shot plan per scenario. Same rep count
     //     as the planned path below — a lopsided best-of-N would bias
     //     the min-estimator toward whichever side gets more chances.
     let (naive, naive_s) = timed_best(3, || {
         sets.iter()
             .map(|ws| {
-                Problem::second_order(&na.system)
-                    .waveforms(ws)
+                Simulation::from_second_order(na.system.clone())
                     .horizon(t_end)
-                    .solve(&opts)
+                    .plan(&opts)
+                    .unwrap()
+                    .solve(ws)
                     .unwrap()
             })
             .collect::<Vec<_>>()
@@ -418,9 +419,15 @@ fn main() {
     let whole_plan = lsim.plan(&SolveOptions::new().resolution(wm * ww)).unwrap();
     let (whole_run, whole_s) = timed_best(3, || whole_plan.solve(&lmodel.inputs).unwrap());
     let wplan = lsim.plan(&SolveOptions::new().resolution(wm)).unwrap();
-    wplan.solve_windowed(&lmodel.inputs, ww).unwrap(); // warm the window kernel
+    wplan
+        .solve_windowed_opts(&lmodel.inputs, &WindowedOptions::new(ww))
+        .unwrap(); // warm the window kernel
     let wprofile = wplan.factor_profile();
-    let (win_run, win_s) = timed_best(3, || wplan.solve_windowed(&lmodel.inputs, ww).unwrap());
+    let (win_run, win_s) = timed_best(3, || {
+        wplan
+            .solve_windowed_opts(&lmodel.inputs, &WindowedOptions::new(ww))
+            .unwrap()
+    });
     let mut win_delta = 0.0f64;
     for (ra, rb) in whole_run.outputs.iter().zip(&win_run.outputs) {
         for (va, vb) in ra.iter().zip(rb) {
@@ -451,7 +458,9 @@ fn main() {
     let (long_windows, long_s) = timed_best(1, || {
         let mut count = 0usize;
         wplan
-            .solve_streaming(&lmodel.inputs, w_long, |_| count += 1)
+            .solve_streaming_opts(&lmodel.inputs, &WindowedOptions::new(w_long), |_| {
+                count += 1
+            })
             .unwrap();
         count
     });
@@ -492,9 +501,15 @@ fn main() {
     let fwhole_plan = fsim.plan(&SolveOptions::new().resolution(fm * fw)).unwrap();
     let (fwhole_run, fwhole_s) = timed_best(3, || fwhole_plan.solve(&fstim).unwrap());
     let fplan = fsim.plan(&SolveOptions::new().resolution(fm)).unwrap();
-    fplan.solve_windowed(&fstim, fw).unwrap(); // warm the window kernel
+    fplan
+        .solve_windowed_opts(&fstim, &WindowedOptions::new(fw))
+        .unwrap(); // warm the window kernel
     let fprofile = fplan.factor_profile();
-    let (ffull_run, ffull_s) = timed_best(3, || fplan.solve_windowed(&fstim, fw).unwrap());
+    let (ffull_run, ffull_s) = timed_best(3, || {
+        fplan
+            .solve_windowed_opts(&fstim, &WindowedOptions::new(fw))
+            .unwrap()
+    });
     let mut ffull_delta = 0.0f64;
     for (ra, rb) in fwhole_run.outputs.iter().zip(&ffull_run.outputs) {
         for (va, vb) in ra.iter().zip(rb) {
@@ -617,7 +632,7 @@ fn main() {
     let path = std::env::var("OPM_SWEEP_JSON").unwrap_or_else(|_| "BENCH_sweep.json".into());
     let note = format!(
         "Table II power grid (NA model, n = {n}, m = {m}). sweep/*: 100-scenario load sweep, \
-         independent Problem::solve per scenario vs one Simulation::plan + SimPlan::solve_batch. \
+         a fresh one-shot plan per scenario vs one Simulation::plan + SimPlan::solve_batch. \
          refactor/*: {SHIFTS} step-grid pencils of the grid's MNA form (n = {nn}), fresh per-pencil \
          factorization vs pure numeric refactorization against a prerecorded PencilFamily analysis. \
          batch_threads_*/scaling/*: the same 100-scenario batch on 1/2/4 workers ({cores} core(s) \
@@ -626,7 +641,7 @@ fn main() {
          lane-elementwise hot kernels (block triangular solve, SpMM, history convolution) on the \
          grid pencil at the plan batch's {SCENARIOS}-lane width; panel_vs_scalar_max_abs_delta == 0 \
          is a hard bit-identity gate. windowed/*: 100-tau RC-ladder horizon, whole-horizon plan \
-         vs SimPlan::solve_windowed over {ww} windows (1 symbolic + 1 numeric factorization, \
+         vs SimPlan::solve_windowed_opts over {ww} windows (1 symbolic + 1 numeric factorization, \
          <= 1e-9 delta asserted) plus a {w_long}-window streaming run at per-window memory. \
          windowed_fractional/*: RC+CPE netlist (fractional MNA, alpha = 0.5), whole-horizon vs \
          {fw} windows with carried Caputo/GL history (full history <= 1e-9, 1 symbolic + 1 numeric) \

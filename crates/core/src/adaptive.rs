@@ -25,7 +25,7 @@ use opm_sparse::SparseLu;
 use opm_system::{DescriptorSystem, FractionalSystem};
 use opm_waveform::InputSet;
 
-/// Options for [`solve_linear_adaptive`].
+/// Options for adaptive linear stepping ([`crate::SolveOptions::adaptive`]).
 #[derive(Clone, Copy, Debug)]
 pub struct AdaptiveOpmOptions {
     /// Predictor–corrector LTE tolerance (per column, ∞-norm).
@@ -53,47 +53,12 @@ fn quantize(h: f64) -> f64 {
     2.0f64.powi(h.log2().round() as i32)
 }
 
-/// Adaptive-step OPM for linear descriptor systems.
-///
-/// # Errors
-/// [`OpmError`] on invalid options, singular pencils, or channel
-/// mismatches.
-#[deprecated(note = "use Simulation::plan")]
-pub fn solve_linear_adaptive(
-    sys: &DescriptorSystem,
-    inputs: &InputSet,
-    t_end: f64,
-    x0: &[f64],
-    opts: AdaptiveOpmOptions,
-) -> Result<OpmResult, OpmError> {
-    let mut factors = FactorCache::new(sys.e(), sys.a());
-    linear_adaptive_with(sys, inputs, t_end, x0, opts, &mut factors)
-}
-
-/// [`solve_linear_adaptive`] with a caller-owned [`FactorCache`]: the
-/// power-of-two step-lattice factorizations persist in `factors`, so a
-/// batch of scenarios solved against the same system (the plan layer's
-/// [`crate::SimPlan`]) reuses every pencil the earlier scenarios already
-/// factored. The returned result counts only the factorizations *this*
+/// Adaptive-step OPM for linear descriptor systems — what the
+/// [`crate::SimPlan`] adaptive kind drives. The power-of-two step-lattice
+/// factorizations persist in the caller-owned `factors`, so every
+/// scenario solved through one plan reuses the pencils earlier scenarios
+/// already factored; the result counts only the factorizations *this*
 /// call added.
-///
-/// # Errors
-/// As [`solve_linear_adaptive`].
-#[deprecated(note = "use Simulation::plan")]
-pub fn solve_linear_adaptive_with(
-    sys: &DescriptorSystem,
-    inputs: &InputSet,
-    t_end: f64,
-    x0: &[f64],
-    opts: AdaptiveOpmOptions,
-    factors: &mut FactorCache,
-) -> Result<OpmResult, OpmError> {
-    linear_adaptive_with(sys, inputs, t_end, x0, opts, factors)
-}
-
-/// The adaptive-step implementation the session layer's
-/// [`crate::SimPlan`] adaptive kind drives (the deprecated one-shot
-/// wrappers above delegate here).
 pub(crate) fn linear_adaptive_with(
     sys: &DescriptorSystem,
     inputs: &InputSet,
@@ -240,24 +205,9 @@ pub fn geometric_grid(t_end: f64, m: usize, ratio: f64) -> Vec<f64> {
         .collect()
 }
 
-/// Adaptive-grid OPM for fractional systems: solves
-/// `E X D̃^α = A X + B U` on the caller's distinct-step grid using the
-/// incremental Parlett recurrence.
-///
-/// # Errors
-/// [`OpmError::ConfluentSteps`] when two steps coincide;
-/// [`OpmError::SingularPencil`] when some column's pencil is singular.
-#[deprecated(note = "use Simulation::plan")]
-pub fn solve_fractional_adaptive(
-    fsys: &FractionalSystem,
-    grid: &AdaptiveBpf,
-    inputs: &InputSet,
-) -> Result<OpmResult, OpmError> {
-    let factors = prepare_step_grid(fsys, grid)?;
-    sweep_step_grid(fsys, grid, &factors, inputs)
-}
-
-/// Stimulus-independent data of a distinct-step fractional solve: the
+/// Stimulus-independent data of a distinct-step fractional solve —
+/// `E X D̃^α = A X + B U` on a caller-chosen grid of pairwise-distinct
+/// steps, `D̃^α` grown by the incremental Parlett recurrence: the
 /// upper-triangular columns of `D̃^α` plus one pencil factorization per
 /// column. Built once by [`prepare_step_grid`] (the plan layer caches it
 /// across scenarios), consumed by [`sweep_step_grid`].
@@ -281,8 +231,8 @@ impl StepGridFactors {
 }
 
 /// Builds and factors every per-column pencil of a distinct-step grid —
-/// the expensive half of [`solve_fractional_adaptive`], independent of
-/// the stimulus. All columns share one [`PencilFamily`] (pattern,
+/// the expensive half of a step-grid solve, independent of the
+/// stimulus. All columns share one [`PencilFamily`] (pattern,
 /// ordering and symbolic analysis paid once), and the per-column numeric
 /// refactorizations — independent of each other — run in parallel on the
 /// [`opm_par::default_threads`] workers. Note this *prepare-time*
@@ -291,7 +241,8 @@ impl StepGridFactors {
 /// set `OPM_THREADS=1` to keep plan construction serial.
 ///
 /// # Errors
-/// As [`solve_fractional_adaptive`].
+/// [`OpmError::ConfluentSteps`] when two steps coincide (or nearly do);
+/// [`OpmError::SingularPencil`] when some column's pencil is singular.
 pub(crate) fn prepare_step_grid(
     fsys: &FractionalSystem,
     grid: &AdaptiveBpf,
@@ -345,7 +296,7 @@ pub(crate) fn prepare_step_grid(
 }
 
 /// Runs the distinct-step column sweep against prefactored pencils — the
-/// cheap, per-stimulus half of [`solve_fractional_adaptive`].
+/// cheap, per-stimulus half of a step-grid solve.
 ///
 /// # Errors
 /// [`OpmError::BadArguments`] on channel mismatches.
@@ -397,10 +348,8 @@ pub(crate) fn sweep_step_grid(
 
 #[cfg(test)]
 mod tests {
-    // The strategy's own unit tests exercise the deprecated one-shot
-    // wrappers on purpose: they pin the wrapper-to-plan delegation.
-    #![allow(deprecated)]
     use super::*;
+    use crate::{Simulation, SolveOptions};
     use opm_fracnum::mittag_leffler::ml_kernel;
     use opm_sparse::{CooMatrix, CsrMatrix};
     use opm_waveform::Waveform;
@@ -413,6 +362,32 @@ mod tests {
         DescriptorSystem::new(CsrMatrix::identity(1), am.to_csr(), b.to_csr(), None).unwrap()
     }
 
+    fn solve_linear_adaptive(
+        sys: &DescriptorSystem,
+        inputs: &InputSet,
+        t_end: f64,
+        opts: AdaptiveOpmOptions,
+    ) -> OpmResult {
+        Simulation::from_system(sys.clone())
+            .horizon(t_end)
+            .plan(&SolveOptions::new().adaptive(opts))
+            .unwrap()
+            .solve(inputs)
+            .unwrap()
+    }
+
+    fn solve_step_grid(
+        fsys: &FractionalSystem,
+        steps: Vec<f64>,
+        inputs: &InputSet,
+    ) -> Result<OpmResult, OpmError> {
+        let t_end = steps.iter().sum();
+        Simulation::from_fractional(fsys.clone())
+            .horizon(t_end)
+            .plan(&SolveOptions::new().step_grid(steps))?
+            .solve(inputs)
+    }
+
     #[test]
     fn adaptive_linear_tracks_analytic_solution() {
         let sys = scalar(-1.0);
@@ -421,14 +396,12 @@ mod tests {
             &sys,
             &inputs,
             2.0,
-            &[0.0],
             AdaptiveOpmOptions {
                 tol: 1e-7,
                 h0: 1.0 / 64.0,
                 ..Default::default()
             },
-        )
-        .unwrap();
+        );
         // Check interval averages against the analytic averages.
         for (j, w) in r.bounds.windows(2).enumerate().step_by(5) {
             let (a, b) = (w[0], w[1]);
@@ -450,15 +423,13 @@ mod tests {
             &sys,
             &inputs,
             4.0,
-            &[0.0],
             AdaptiveOpmOptions {
                 tol: 1e-5,
                 h0: 1.0 / 256.0,
                 h_min: 1e-9,
                 h_max: 0.5,
             },
-        )
-        .unwrap();
+        );
         let early = r.bounds.iter().filter(|&&t| t <= 0.4).count();
         let late = r.bounds.iter().filter(|&&t| t > 2.0).count();
         assert!(
@@ -481,11 +452,11 @@ mod tests {
 
     #[test]
     fn fractional_adaptive_matches_mittag_leffler() {
-        use opm_system::FractionalSystem;
         let fsys = FractionalSystem::new(0.5, scalar(-1.0)).unwrap();
-        let grid = AdaptiveBpf::new(geometric_grid(2.0, 32, 1.15));
+        let steps = geometric_grid(2.0, 32, 1.15);
+        let grid = AdaptiveBpf::new(steps.clone());
         let inputs = InputSet::new(vec![Waveform::Dc(1.0)]);
-        let r = solve_fractional_adaptive(&fsys, &grid, &inputs).unwrap();
+        let r = solve_step_grid(&fsys, steps, &inputs).unwrap();
         for (j, &t) in grid.midpoints().iter().enumerate().skip(5).step_by(4) {
             let want = ml_kernel(0.5, 1.5, -1.0, t);
             let got = r.state_coeff(0, j);
@@ -500,12 +471,11 @@ mod tests {
     fn fractional_adaptive_matches_dense_oracle() {
         use opm_linalg::kron::{kron, unvec, vec_of};
         use opm_linalg::DMatrix;
-        use opm_system::FractionalSystem;
         let fsys = FractionalSystem::new(0.5, scalar(-2.0)).unwrap();
         let steps = geometric_grid(1.0, 12, 1.15);
-        let grid = AdaptiveBpf::new(steps);
+        let grid = AdaptiveBpf::new(steps.clone());
         let inputs = InputSet::new(vec![Waveform::Dc(1.0)]);
-        let fast = solve_fractional_adaptive(&fsys, &grid, &inputs).unwrap();
+        let fast = solve_step_grid(&fsys, steps, &inputs).unwrap();
 
         // Dense oracle: (D̃^αᵀ ⊗ E − I ⊗ A)·vec X = vec(B U).
         let d_alpha = grid.frac_diff_matrix(0.5).unwrap();
@@ -528,12 +498,10 @@ mod tests {
 
     #[test]
     fn fractional_adaptive_rejects_equal_steps() {
-        use opm_system::FractionalSystem;
         let fsys = FractionalSystem::new(0.5, scalar(-1.0)).unwrap();
-        let grid = AdaptiveBpf::new(vec![0.1, 0.2, 0.1]);
         let inputs = InputSet::new(vec![Waveform::Dc(1.0)]);
         assert!(matches!(
-            solve_fractional_adaptive(&fsys, &grid, &inputs),
+            solve_step_grid(&fsys, vec![0.1, 0.2, 0.1], &inputs),
             Err(OpmError::ConfluentSteps(_))
         ));
     }

@@ -172,32 +172,21 @@ impl<'a> GeneralBasisPlan<'a> {
     }
 }
 
-/// Solves `E ẋ = A x + B u` in the given basis by the integral form — a
-/// thin one-shot wrapper over [`GeneralBasisPlan`].
-///
-/// # Errors
-/// [`OpmError::BadArguments`] when `n·m` exceeds the dense guard or
-/// shapes mismatch; [`OpmError::SingularPencil`] when the Kronecker
-/// matrix is singular.
-#[deprecated(note = "use Simulation::plan")]
-pub fn solve_general_basis(
-    sys: &DescriptorSystem,
-    basis: &dyn Basis,
-    inputs: &InputSet,
-    x0: &[f64],
-) -> Result<GeneralBasisResult, OpmError> {
-    GeneralBasisPlan::new(sys, basis, x0)?.solve(inputs)
-}
-
 #[cfg(test)]
 mod tests {
-    // The strategy's own unit tests exercise the deprecated one-shot
-    // wrappers on purpose: they pin the wrapper-to-plan delegation.
-    #![allow(deprecated)]
     use super::*;
     use opm_basis::{BpfBasis, HaarBasis, LegendreBasis, WalshBasis};
     use opm_sparse::{CooMatrix, CsrMatrix};
     use opm_waveform::Waveform;
+
+    fn solve_general_basis(
+        sys: &DescriptorSystem,
+        basis: &dyn Basis,
+        inputs: &InputSet,
+        x0: &[f64],
+    ) -> Result<GeneralBasisResult, OpmError> {
+        GeneralBasisPlan::new(sys, basis, x0)?.solve(inputs)
+    }
 
     fn scalar(a: f64) -> DescriptorSystem {
         let mut am = CooMatrix::new(1, 1);
@@ -205,25 +194,6 @@ mod tests {
         let mut b = CooMatrix::new(1, 1);
         b.push(0, 0, 1.0);
         DescriptorSystem::new(CsrMatrix::identity(1), am.to_csr(), b.to_csr(), None).unwrap()
-    }
-
-    #[test]
-    fn bpf_integral_form_matches_differential_fast_path() {
-        let sys = scalar(-1.0);
-        let m = 32;
-        let basis = BpfBasis::new(m, 2.0);
-        let inputs = InputSet::new(vec![Waveform::Dc(1.0)]);
-        let gen = solve_general_basis(&sys, &basis, &inputs, &[0.5]).unwrap();
-        let u = inputs.bpf_matrix(m, 2.0);
-        let fast = crate::linear::solve_linear(&sys, &u, 2.0, &[0.5]).unwrap();
-        for j in 0..m {
-            assert!(
-                (gen.x_coeffs.get(0, j) - fast.state_coeff(0, j)).abs() < 1e-9,
-                "column {j}: {} vs {}",
-                gen.x_coeffs.get(0, j),
-                fast.state_coeff(0, j)
-            );
-        }
     }
 
     #[test]

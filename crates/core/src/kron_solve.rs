@@ -167,12 +167,8 @@ pub fn kron_solve_fractional(
 
 #[cfg(test)]
 mod tests {
-    // The strategy's own unit tests exercise the deprecated one-shot
-    // wrappers on purpose: they pin the wrapper-to-plan delegation.
-    #![allow(deprecated)]
     use super::*;
     use opm_sparse::{CooMatrix, CsrMatrix};
-    use opm_waveform::{InputSet, Waveform};
 
     fn scalar(a: f64) -> DescriptorSystem {
         let mut am = CooMatrix::new(1, 1);
@@ -180,97 +176,6 @@ mod tests {
         let mut b = CooMatrix::new(1, 1);
         b.push(0, 0, 1.0);
         DescriptorSystem::new(CsrMatrix::identity(1), am.to_csr(), b.to_csr(), None).unwrap()
-    }
-
-    #[test]
-    fn linear_fast_path_matches_oracle_exactly() {
-        let sys = scalar(-1.3);
-        let m = 24;
-        let u = InputSet::new(vec![Waveform::pulse(0.0, 1.0, 0.1, 0.05, 0.3, 0.05, 0.0)])
-            .bpf_matrix(m, 1.0);
-        let oracle = kron_solve_linear(&sys, &u, 1.0).unwrap();
-        let fast = crate::linear::solve_linear(&sys, &u, 1.0, &[0.0]).unwrap();
-        for j in 0..m {
-            assert!(
-                (oracle.state_coeff(0, j) - fast.state_coeff(0, j)).abs() < 1e-10,
-                "column {j}: {} vs {}",
-                oracle.state_coeff(0, j),
-                fast.state_coeff(0, j)
-            );
-        }
-    }
-
-    #[test]
-    fn fractional_fast_path_matches_oracle_exactly() {
-        use opm_system::FractionalSystem;
-        let fsys = FractionalSystem::new(0.5, scalar(-1.0)).unwrap();
-        let m = 16;
-        let u = InputSet::new(vec![Waveform::Dc(1.0)]).bpf_matrix(m, 1.0);
-        let oracle = kron_solve_fractional(&fsys, &u, 1.0).unwrap();
-        let fast = crate::fractional::solve_fractional(&fsys, &u, 1.0).unwrap();
-        for j in 0..m {
-            assert!(
-                (oracle.state_coeff(0, j) - fast.state_coeff(0, j)).abs() < 1e-9,
-                "column {j}"
-            );
-        }
-    }
-
-    #[test]
-    fn multiterm_fast_path_matches_oracle_exactly() {
-        use opm_system::{MultiTermSystem, Term};
-        let mt = MultiTermSystem::new(
-            vec![
-                Term {
-                    alpha: 2.0,
-                    matrix: CsrMatrix::identity(1),
-                },
-                Term {
-                    alpha: 1.0,
-                    matrix: CsrMatrix::identity(1).scale(0.3),
-                },
-                Term {
-                    alpha: 0.0,
-                    matrix: CsrMatrix::identity(1).scale(2.0),
-                },
-            ],
-            CsrMatrix::identity(1),
-            None,
-        )
-        .unwrap();
-        let m = 20;
-        let u = InputSet::new(vec![Waveform::step(0.0, 1.0)]).bpf_matrix(m, 4.0);
-        let oracle = kron_solve_multiterm(&mt, &u, 4.0).unwrap();
-        let fast = crate::multiterm::solve_multiterm(&mt, &u, 4.0).unwrap();
-        for j in 0..m {
-            assert!(
-                (oracle.state_coeff(0, j) - fast.state_coeff(0, j)).abs() < 1e-8,
-                "column {j}: {} vs {}",
-                oracle.state_coeff(0, j),
-                fast.state_coeff(0, j)
-            );
-        }
-    }
-
-    #[test]
-    fn tline_oracle_vs_fast_path() {
-        // The Table I system at reduced m: n·m = 7·8 = 56 is oracle-sized.
-        let model = opm_circuits::tline::FractionalLineSpec::default().assemble();
-        let t_end = 2.7e-9;
-        let m = 8;
-        let u = model.inputs.bpf_matrix(m, t_end);
-        let oracle = kron_solve_fractional(&model.system, &u, t_end).unwrap();
-        let fast = crate::fractional::solve_fractional(&model.system, &u, t_end).unwrap();
-        for j in 0..m {
-            for i in 0..7 {
-                let a = oracle.state_coeff(i, j);
-                let b = fast.state_coeff(i, j);
-                assert!(
-                    (a - b).abs() < 1e-9 * a.abs().max(1.0),
-                    "state {i}, column {j}: {a} vs {b}"
-                );
-            }
-        }
     }
 
     #[test]

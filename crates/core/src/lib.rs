@@ -7,27 +7,20 @@
 //! systems), turning `E ẋ = A x + B u` into the matrix equation
 //! `E X D = A X + B U` solved *column by column* with one sparse LU:
 //!
-//! - [`session`] — the two-phase session API: [`Simulation`] (owns a
-//!   model, or assembles one straight from a netlist) →
-//!   [`Simulation::plan`] → [`SimPlan`] (validated shape + factored
-//!   pencil), whose `solve` / `solve_batch` / `sweep` amortize **one
-//!   factorization over many scenarios** via the engine's multi-RHS
-//!   block sweep.
-//! - [`engine`] — the shared solver engine: [`engine::Problem`] /
-//!   [`engine::SolveOptions`] as the declarative one-shot front door,
-//!   plus the validation, pencil-factorization, cached-factorization
-//!   (block) column-sweep and output-reconstruction primitives every
-//!   strategy below builds on.
-//! - [`linear`] — linear ODE/DAE systems (paper §III). Implements the
-//!   stable two-term recurrence this library derives from the OPM column
-//!   equations (algebraically identical to the trapezoidal rule) plus the
-//!   paper's literal accumulator formulation for cross-validation.
-//! - [`fractional`] — fractional systems `E d^α x = A x + B u` (paper
-//!   §IV) via the nilpotent-series expansion of `D^α`.
-//! - [`multiterm`] — `Σ_k A_k d^{α_k} x = B u`; integer-order systems take
-//!   an `O(n^β m)` finite-recurrence fast path (multiply the column
-//!   equation by `(1+Q)^K`), fractional mixtures fall back to the
-//!   `O(n^β m + n m²)` convolution — exactly the paper's complexity.
+//! - [`session`] — the solve front door: [`Simulation`] (owns a model,
+//!   or assembles one straight from a netlist) → [`Simulation::plan`] →
+//!   [`SimPlan`] (validated shape + factored pencil), whose `solve` /
+//!   `solve_batch` / `sweep` amortize **one factorization over many
+//!   scenarios** via the engine's multi-RHS block sweep, and whose
+//!   windowed, streaming and Newton solves reuse the same analysis. The
+//!   per-model column recurrences live here: the linear two-term
+//!   recurrence (paper §III, algebraically the trapezoidal rule) and the
+//!   paper's literal accumulator form, the fractional `D^α` convolution
+//!   (paper §IV), and the multi-term finite recurrence / convolution.
+//! - [`engine`] — the primitives every plan kind builds on: validation,
+//!   fill ordering, pencil factorization and pencil families, the
+//!   cached-factorization (block) column sweep, output reconstruction,
+//!   and [`SolveOptions`] / [`Method`].
 //! - [`adaptive`] — adaptive time steps (paper §III-B): on-the-fly LTE
 //!   control for linear systems, distinct-step grids with incremental
 //!   Parlett `D̃^α` for fractional systems.
@@ -69,24 +62,20 @@ pub mod adaptive;
 pub mod cache;
 pub mod cancel;
 pub mod engine;
-pub mod fractional;
 pub mod gate;
 pub mod general_basis;
 pub mod json;
 pub mod kron_solve;
 pub mod latch;
-pub mod linear;
 pub mod metrics;
-pub mod multiterm;
 mod newton;
 pub mod result;
-pub mod second_order;
 pub mod session;
 pub mod sync;
 
 pub use cache::{CacheStats, PlanCache};
 pub use cancel::CancelToken;
-pub use engine::{Method, Problem, SolveOptions};
+pub use engine::{Method, SolveOptions};
 pub use json::Json;
 pub use metrics::FactorProfile;
 pub use result::OpmResult;

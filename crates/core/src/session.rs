@@ -38,9 +38,10 @@
 //! assert!(runs[2].output_row(0)[255] > runs[0].output_row(0)[255]);
 //! ```
 //!
-//! [`Problem::solve`](crate::Problem::solve) and the per-strategy entry
-//! points (`solve_linear`, `solve_fractional`, …) are thin one-shot
-//! wrappers over this layer.
+//! This is the crate's only solve entry point: a one-shot solve is a
+//! plan used once, `Simulation::from_system(sys).horizon(T)
+//! .plan(&opts)?.solve(&u)`, and costs exactly what a dedicated one-shot
+//! routine would (validate, order, factor, sweep).
 
 use crate::adaptive::{self, AdaptiveOpmOptions, StepGridFactors};
 use crate::cancel::CancelToken;
@@ -145,7 +146,7 @@ pub struct Simulation {
     /// Nonlinear companion devices riding on a linear model (populated
     /// by [`Simulation::from_circuit`] when the netlist carries diodes
     /// or MOSFETs); plans built from this session solve through
-    /// [`SimPlan::solve_newton`].
+    /// [`SimPlan::solve_newton_windowed`].
     devices: Vec<DeviceModel>,
 }
 
@@ -311,7 +312,7 @@ impl Simulation {
     }
 
     /// Whether plans built from this session need the Newton path
-    /// ([`SimPlan::solve_newton`]).
+    /// ([`SimPlan::solve_newton_windowed`]).
     pub fn has_nonlinear(&self) -> bool {
         !self.devices.is_empty()
     }
@@ -347,7 +348,7 @@ impl Simulation {
 }
 
 /// Resolves the column count a plan is built for.
-pub(crate) fn plan_resolution(model: &SimModel, opts: &SolveOptions) -> Result<usize, OpmError> {
+fn plan_resolution(model: &SimModel, opts: &SolveOptions) -> Result<usize, OpmError> {
     if opts.adaptive.is_some() {
         return Ok(0); // the step controller determines the column count
     }
@@ -367,11 +368,7 @@ pub(crate) fn plan_resolution(model: &SimModel, opts: &SolveOptions) -> Result<u
 /// ignoring them would hand back a result the caller did not ask for.
 /// Every rejection names **both** the offending option and the strategy
 /// it clashed with.
-pub(crate) fn validate_options(
-    model: &SimModel,
-    t_end: f64,
-    opts: &SolveOptions,
-) -> Result<(), OpmError> {
+fn validate_options(model: &SimModel, t_end: f64, opts: &SolveOptions) -> Result<(), OpmError> {
     let strategy = model.strategy_name();
     let bad = |msg: String| Err(OpmError::BadArguments(msg));
     let conflict = |opt: &str, hint: &str| {
@@ -474,13 +471,6 @@ pub(crate) fn validate_options(
 // SimPlan: validated shape + cached factorization
 // ---------------------------------------------------------------------------
 
-/// Multi-term execution path selector (internal).
-pub(crate) enum MtSelect {
-    Auto,
-    Recurrence,
-    Convolution,
-}
-
 struct MtPlan {
     lu: SparseLu,
     /// Analysis of the pencil's union pattern — replayed numerically per
@@ -553,8 +543,7 @@ enum PlanKind {
 }
 
 /// A reusable solving session: the validated problem shape, orderings
-/// and factorizations of one [`Simulation::plan`] (or one
-/// [`crate::Problem`]), amortized over every
+/// and factorizations of one [`Simulation::plan`], amortized over every
 /// [`solve`](SimPlan::solve) / [`solve_batch`](SimPlan::solve_batch) /
 /// [`sweep`](SimPlan::sweep) call.
 ///
@@ -570,9 +559,9 @@ pub struct SimPlan {
     x0: Vec<f64>,
     kind: PlanKind,
     /// Nonlinear companion devices (empty for purely linear plans).
-    /// Plans carrying devices solve through [`SimPlan::solve_newton`];
-    /// the linear entry points reject them so a caller can never
-    /// silently drop the nonlinearities.
+    /// Plans carrying devices solve through
+    /// [`SimPlan::solve_newton_windowed`]; the linear entry points reject
+    /// them so a caller can never silently drop the nonlinearities.
     devices: Arc<Vec<DeviceModel>>,
     /// Factorization work done at prepare time (live adaptive plans
     /// report from their lattice cache, linear plans from their pencil
@@ -720,8 +709,7 @@ impl WindowedOptions {
     }
 }
 
-/// Newton-iteration configuration for [`SimPlan::solve_newton`] /
-/// [`SimPlan::solve_newton_windowed`].
+/// Newton-iteration configuration for [`SimPlan::solve_newton_windowed`].
 ///
 /// ```
 /// use opm_core::session::NewtonOptions;
@@ -854,7 +842,7 @@ impl NewtonOptions {
 }
 
 /// One window's worth of a streaming solve
-/// ([`SimPlan::solve_streaming`]).
+/// ([`SimPlan::solve_streaming_opts`]).
 #[derive(Clone, Debug)]
 pub struct WindowBlock {
     /// Window index `w ∈ 0..W`.
@@ -977,7 +965,7 @@ impl OutputMap for OutRef<'_> {
 impl SimPlan {
     // -- construction -------------------------------------------------------
 
-    pub(crate) fn prepare(
+    fn prepare(
         model: Arc<SimModel>,
         opts: &SolveOptions,
         m: usize,
@@ -1080,7 +1068,7 @@ impl SimPlan {
                 Method::Convolution => {
                     require_zero_x0("Convolution")?;
                     let mt = MultiTermSystem::from_descriptor(sys);
-                    let plan = mt_plan(&mt, m, t_end, &MtSelect::Auto)?;
+                    let plan = mt_plan(&mt, m, t_end, Method::Auto)?;
                     PlanKind::OwnedMultiTerm {
                         mt,
                         plan,
@@ -1109,12 +1097,8 @@ impl SimPlan {
                 _ => fractional_plan_kind(fsys, m, t_end)?,
             },
             SimModel::MultiTerm(mt) => match opts.method {
-                Method::Auto => PlanKind::MultiTerm(mt_plan(mt, m, t_end, &MtSelect::Auto)?),
-                Method::Recurrence => {
-                    PlanKind::MultiTerm(mt_plan(mt, m, t_end, &MtSelect::Recurrence)?)
-                }
-                Method::Convolution => {
-                    PlanKind::MultiTerm(mt_plan(mt, m, t_end, &MtSelect::Convolution)?)
+                method @ (Method::Auto | Method::Recurrence | Method::Convolution) => {
+                    PlanKind::MultiTerm(mt_plan(mt, m, t_end, method)?)
                 }
                 Method::Kronecker => PlanKind::Kron {
                     factors: kron_prepare(mt, m, t_end)?,
@@ -1126,7 +1110,7 @@ impl SimPlan {
             },
             SimModel::SecondOrder(so) => {
                 let mt = so.to_multiterm();
-                let plan = mt_plan(&mt, m, t_end, &MtSelect::Auto)?;
+                let plan = mt_plan(&mt, m, t_end, Method::Auto)?;
                 PlanKind::OwnedMultiTerm {
                     mt,
                     plan,
@@ -1144,95 +1128,6 @@ impl SimPlan {
             x0,
             kind,
             devices,
-            profile: ONE_SYMBOLIC,
-            windowed: Mutex::new(WindowState::default()),
-        })
-    }
-
-    /// One-shot linear plan for the strategy wrappers (clones the
-    /// borrowed system into the plan's own shared model — the copy is
-    /// O(nnz), dwarfed by the factorization these one-shot paths pay
-    /// anyway).
-    pub(crate) fn for_linear(
-        sys: &DescriptorSystem,
-        m: usize,
-        t_end: f64,
-        x0: &[f64],
-        accumulator: bool,
-    ) -> Result<Self, OpmError> {
-        validate_x0(sys.order(), x0)?;
-        validate_horizon(t_end)?;
-        Ok(SimPlan {
-            model: Arc::new(SimModel::Linear(sys.clone())),
-            t_end,
-            m,
-            x0: x0.to_vec(),
-            kind: linear_plan_kind(sys, m, t_end, accumulator)?,
-            devices: Arc::new(Vec::new()),
-            profile: ONE_SYMBOLIC,
-            windowed: Mutex::new(WindowState::default()),
-        })
-    }
-
-    /// One-shot fractional plan for the strategy wrappers.
-    pub(crate) fn for_fractional(
-        fsys: &FractionalSystem,
-        m: usize,
-        t_end: f64,
-    ) -> Result<Self, OpmError> {
-        validate_horizon(t_end)?;
-        Ok(SimPlan {
-            model: Arc::new(SimModel::Fractional(fsys.clone())),
-            t_end,
-            m,
-            x0: vec![0.0; fsys.order()],
-            kind: fractional_plan_kind(fsys, m, t_end)?,
-            devices: Arc::new(Vec::new()),
-            profile: ONE_SYMBOLIC,
-            windowed: Mutex::new(WindowState::default()),
-        })
-    }
-
-    /// One-shot multi-term plan for the strategy wrappers.
-    pub(crate) fn for_multiterm(
-        mt: &MultiTermSystem,
-        m: usize,
-        t_end: f64,
-        select: &MtSelect,
-    ) -> Result<Self, OpmError> {
-        validate_horizon(t_end)?;
-        Ok(SimPlan {
-            model: Arc::new(SimModel::MultiTerm(mt.clone())),
-            t_end,
-            m,
-            x0: vec![0.0; mt.order()],
-            kind: PlanKind::MultiTerm(mt_plan(mt, m, t_end, select)?),
-            devices: Arc::new(Vec::new()),
-            profile: ONE_SYMBOLIC,
-            windowed: Mutex::new(WindowState::default()),
-        })
-    }
-
-    /// One-shot second-order plan for the strategy wrappers.
-    pub(crate) fn for_second_order(
-        so: &SecondOrderSystem,
-        m: usize,
-        t_end: f64,
-    ) -> Result<Self, OpmError> {
-        validate_horizon(t_end)?;
-        let mt = so.to_multiterm();
-        let plan = mt_plan(&mt, m, t_end, &MtSelect::Auto)?;
-        Ok(SimPlan {
-            model: Arc::new(SimModel::SecondOrder(so.clone())),
-            t_end,
-            m,
-            x0: vec![0.0; so.order()],
-            kind: PlanKind::OwnedMultiTerm {
-                mt,
-                plan,
-                differentiate: true,
-            },
-            devices: Arc::new(Vec::new()),
             profile: ONE_SYMBOLIC,
             windowed: Mutex::new(WindowState::default()),
         })
@@ -1323,9 +1218,8 @@ impl SimPlan {
     }
 
     /// Whether the plan carries nonlinear devices. Such plans solve only
-    /// through [`SimPlan::solve_newton`] /
-    /// [`SimPlan::solve_newton_windowed`]; every linear entry point
-    /// rejects them.
+    /// through [`SimPlan::solve_newton_windowed`]; every linear entry
+    /// point rejects them.
     pub fn has_nonlinear(&self) -> bool {
         !self.devices.is_empty()
     }
@@ -1339,7 +1233,7 @@ impl SimPlan {
         } else {
             Err(OpmError::BadArguments(format!(
                 "this plan carries {} nonlinear device(s) and `{entry}` would drop them; \
-                 use SimPlan::solve_newton / SimPlan::solve_newton_windowed",
+                 use SimPlan::solve_newton_windowed",
                 self.devices.len()
             )))
         }
@@ -1456,19 +1350,6 @@ impl SimPlan {
     /// with the planned resolution, or the plan kind needs waveforms
     /// (second-order, adaptive, step-grid).
     pub fn solve_coeffs(&self, u: &[Vec<f64>]) -> Result<OpmResult, OpmError> {
-        let mut out = self.solve_coeffs_batch(&[u])?;
-        Ok(out.pop().expect("one lane in, one result out"))
-    }
-
-    /// Batch form of [`SimPlan::solve_coeffs`]: `K` coefficient matrices
-    /// through one factorization in a single interleaved pass.
-    ///
-    /// # Errors
-    /// As [`SimPlan::solve_coeffs`].
-    pub fn solve_coeffs_batch(&self, us: &[&[Vec<f64>]]) -> Result<Vec<OpmResult>, OpmError> {
-        if us.is_empty() {
-            return Ok(Vec::new());
-        }
         self.reject_nonlinear("solve_coeffs")?;
         match &self.kind {
             PlanKind::AdaptiveLinear { .. } => Err(OpmError::BadArguments(
@@ -1486,35 +1367,34 @@ impl SimPlan {
                     .into(),
             )),
             _ => {
-                let p = self.model.num_inputs();
-                for &u in us {
-                    let mu = validate_coeff_inputs(p, u)?;
-                    if mu != self.m {
-                        return Err(OpmError::BadArguments(format!(
-                            "coefficient stimulus has {mu} columns but the `{}` plan \
-                             was built for resolution {}",
-                            self.model.strategy_name(),
-                            self.m
-                        )));
-                    }
+                let mu = validate_coeff_inputs(self.model.num_inputs(), u)?;
+                if mu != self.m {
+                    return Err(OpmError::BadArguments(format!(
+                        "coefficient stimulus has {mu} columns but the `{}` plan \
+                         was built for resolution {}",
+                        self.model.strategy_name(),
+                        self.m
+                    )));
                 }
-                self.run_block(us, opm_par::default_threads())
+                let mut out = self.run_block(&[u], opm_par::default_threads())?;
+                Ok(out.pop().expect("one lane in, one result out"))
             }
         }
     }
 
     // -- windowed / streaming solving ----------------------------------------
 
-    /// Long-horizon windowed solve: splits `[0, T)` into `windows` equal
-    /// windows of width `T/W`, expands **each window** in block-pulse
-    /// functions at the plan's resolution `m` (so the whole horizon gets
-    /// `W·m` columns), and carries the end-of-window state into the next
-    /// window as its initial condition. Because the window pencil
-    /// depends only on the window width and resolution, **one**
-    /// factorization — a numeric-only refactorization against the plan's
-    /// own symbolic analysis — serves all `W` windows (and every batched
-    /// scenario): [`SimPlan::factor_profile`] reports 1 symbolic + 1
-    /// numeric no matter how large `W` grows.
+    /// Long-horizon windowed solve: splits `[0, T)` into
+    /// [`WindowedOptions::windows`] equal windows of width `T/W`, expands
+    /// **each window** in block-pulse functions at the plan's resolution
+    /// `m` (so the whole horizon gets `W·m` columns), and carries the
+    /// end-of-window state into the next window as its initial
+    /// condition. Because the window pencil depends only on the window
+    /// width and resolution, **one** factorization — a numeric-only
+    /// refactorization against the plan's own symbolic analysis — serves
+    /// all `W` windows (and every batched scenario):
+    /// [`SimPlan::factor_profile`] reports 1 symbolic + 1 numeric no
+    /// matter how large `W` grows.
     ///
     /// On a horizon that splits evenly, the result matches a single
     /// whole-horizon plan at resolution `W·m` to roundoff (the BPF
@@ -1528,14 +1408,20 @@ impl SimPlan {
     /// fractional-mixture multi-term plans carry the Caputo/GL memory
     /// of all previous windows as an extra per-lane forcing built from
     /// the history convolution over their solved columns — exact with
-    /// full history, truncatable via
-    /// [`WindowedOptions::history_len`] (see
-    /// [`SimPlan::solve_windowed_opts`]). Adaptive, step-grid and
-    /// Kronecker plans are whole-horizon by construction and are
-    /// rejected with an error naming the plan kind.
+    /// full history, truncatable via [`WindowedOptions::history_len`].
+    /// Adaptive, step-grid and Kronecker plans are whole-horizon by
+    /// construction and are rejected with an error naming the plan kind.
+    ///
+    /// Note on memory: with *full* history (the default), a fractional
+    /// windowed solve retains a working copy of every past column
+    /// alongside the accumulating result — the exactness costs up to 2×
+    /// the whole-horizon solve's peak. Cap the tail with
+    /// [`WindowedOptions::history_len`] (or stream via
+    /// [`SimPlan::solve_streaming_opts`], where the tail is the *only*
+    /// retained copy) for bounded memory.
     ///
     /// ```
-    /// use opm_core::{Simulation, SolveOptions};
+    /// use opm_core::{Simulation, SolveOptions, WindowedOptions};
     ///
     /// let sim = Simulation::from_netlist(
     ///     "V1 in 0 DC 5\nR1 in out 1k\nC1 out 0 1u\n.end",
@@ -1546,31 +1432,14 @@ impl SimPlan {
     /// let plan = sim.plan(&SolveOptions::new().resolution(64)).unwrap();
     ///
     /// // 8 windows × 64 columns — 512 columns through ONE factorization.
-    /// let r = plan.solve_windowed(sim.inputs().unwrap(), 8).unwrap();
+    /// let r = plan
+    ///     .solve_windowed_opts(sim.inputs().unwrap(), &WindowedOptions::new(8))
+    ///     .unwrap();
     /// assert_eq!(r.num_intervals(), 512);
     /// assert!((r.output_row(0)[511] - 5.0).abs() < 0.05);
     /// let p = plan.factor_profile();
     /// assert_eq!((p.num_symbolic, p.num_numeric, p.num_windows), (1, 1, 8));
     /// ```
-    ///
-    /// # Errors
-    /// [`OpmError::BadArguments`] on channel mismatches, zero windows,
-    /// or an unsupported strategy/method (the message names both).
-    pub fn solve_windowed(&self, inputs: &InputSet, windows: usize) -> Result<OpmResult, OpmError> {
-        self.solve_windowed_opts(inputs, &WindowedOptions::new(windows))
-    }
-
-    /// [`SimPlan::solve_windowed`] with explicit [`WindowedOptions`] —
-    /// in particular the fractional short-memory truncation
-    /// [`WindowedOptions::history_len`].
-    ///
-    /// Note on memory: with *full* history (the default), a fractional
-    /// windowed solve retains a working copy of every past column
-    /// alongside the accumulating result — the exactness costs up to 2×
-    /// the whole-horizon solve's peak. Cap the tail with
-    /// [`WindowedOptions::history_len`] (or stream via
-    /// [`SimPlan::solve_streaming_opts`], where the tail is the *only*
-    /// retained copy) for bounded memory.
     ///
     /// ```
     /// use opm_core::{Simulation, SolveOptions, WindowedOptions};
@@ -1593,7 +1462,8 @@ impl SimPlan {
     /// ```
     ///
     /// # Errors
-    /// As [`SimPlan::solve_windowed`].
+    /// [`OpmError::BadArguments`] on channel mismatches, zero windows,
+    /// or an unsupported strategy/method (the message names both).
     pub fn solve_windowed_opts(
         &self,
         inputs: &InputSet,
@@ -1607,41 +1477,15 @@ impl SimPlan {
         Ok(out.pop().expect("one lane in, one result out"))
     }
 
-    /// Batch form of [`SimPlan::solve_windowed`]: `K` scenarios swept
-    /// through the same single window factorization, window by window,
-    /// with the scenario lanes split across the worker threads exactly
-    /// like [`SimPlan::solve_batch`] (results are in input order and
-    /// bit-identical to a per-scenario [`SimPlan::solve_windowed`]
-    /// loop, for every thread count).
+    /// Batch form of [`SimPlan::solve_windowed_opts`]: `K` scenarios
+    /// swept through the same single window factorization, window by
+    /// window, with the scenario lanes split across `threads` workers
+    /// exactly like [`SimPlan::solve_batch_with_threads`] (results are in
+    /// input order and bit-identical to a per-scenario
+    /// [`SimPlan::solve_windowed_opts`] loop, for every thread count).
     ///
     /// # Errors
-    /// As [`SimPlan::solve_windowed`].
-    pub fn solve_windowed_batch(
-        &self,
-        inputs: &[InputSet],
-        windows: usize,
-    ) -> Result<Vec<OpmResult>, OpmError> {
-        self.solve_windowed_batch_with_threads(inputs, windows, opm_par::default_threads())
-    }
-
-    /// [`SimPlan::solve_windowed_batch`] with an explicit worker count.
-    ///
-    /// # Errors
-    /// As [`SimPlan::solve_windowed`].
-    pub fn solve_windowed_batch_with_threads(
-        &self,
-        inputs: &[InputSet],
-        windows: usize,
-        threads: usize,
-    ) -> Result<Vec<OpmResult>, OpmError> {
-        self.solve_windowed_batch_opts(inputs, &WindowedOptions::new(windows), threads)
-    }
-
-    /// [`SimPlan::solve_windowed_batch_with_threads`] with explicit
-    /// [`WindowedOptions`].
-    ///
-    /// # Errors
-    /// As [`SimPlan::solve_windowed`].
+    /// As [`SimPlan::solve_windowed_opts`].
     pub fn solve_windowed_batch_opts(
         &self,
         inputs: &[InputSet],
@@ -1652,7 +1496,7 @@ impl SimPlan {
         if inputs.is_empty() {
             return Ok(Vec::new());
         }
-        self.reject_nonlinear("solve_windowed")?;
+        self.reject_nonlinear("solve_windowed_opts")?;
         self.check_channels(inputs)?;
         let kernel = self.window_kernel(windows)?;
         let lanes_per_worker = worker_lane_chunk(inputs.len(), threads);
@@ -1676,37 +1520,22 @@ impl SimPlan {
         Ok(results)
     }
 
-    /// Streaming windowed solve: like [`SimPlan::solve_windowed`], but
-    /// each window's block is handed to `sink` as soon as it is solved
-    /// and then **dropped** — peak coefficient storage is `O(n·m)`, one
-    /// window, independent of how many windows the horizon spans (plus,
-    /// on fractional/multi-term plans, the retained Caputo history tail:
-    /// all past columns with full history, at most
-    /// [`WindowedOptions::history_len`] columns when truncated). The
-    /// [`WindowBlock`]s carry global-time bounds, so concatenating their
-    /// results reproduces [`SimPlan::solve_windowed`] exactly.
+    /// Streaming windowed solve: like [`SimPlan::solve_windowed_opts`],
+    /// but each window's block is handed to `sink` as soon as it is
+    /// solved and then **dropped** — peak coefficient storage is
+    /// `O(n·m)`, one window, independent of how many windows the horizon
+    /// spans (plus, on fractional/multi-term plans, the retained Caputo
+    /// history tail: all past columns with full history, at most
+    /// [`WindowedOptions::history_len`] columns when truncated — then the
+    /// solve runs at truly bounded memory). The [`WindowBlock`]s carry
+    /// global-time bounds, so concatenating their results reproduces
+    /// [`SimPlan::solve_windowed_opts`] exactly.
     ///
     /// Returns the final state `x(T)` (the last window's
     /// [`WindowBlock::end_state`]).
     ///
     /// # Errors
-    /// As [`SimPlan::solve_windowed`].
-    pub fn solve_streaming(
-        &self,
-        inputs: &InputSet,
-        windows: usize,
-        sink: impl FnMut(WindowBlock),
-    ) -> Result<Vec<f64>, OpmError> {
-        self.solve_streaming_opts(inputs, &WindowedOptions::new(windows), sink)
-    }
-
-    /// [`SimPlan::solve_streaming`] with explicit [`WindowedOptions`] —
-    /// with [`WindowedOptions::history_len`] set, a fractional streaming
-    /// solve runs at truly bounded memory: one window of columns plus
-    /// the capped history tail.
-    ///
-    /// # Errors
-    /// As [`SimPlan::solve_windowed`].
+    /// As [`SimPlan::solve_windowed_opts`].
     pub fn solve_streaming_opts(
         &self,
         inputs: &InputSet,
@@ -1714,7 +1543,7 @@ impl SimPlan {
         mut sink: impl FnMut(WindowBlock),
     ) -> Result<Vec<f64>, OpmError> {
         let windows = opts.windows();
-        self.reject_nonlinear("solve_streaming")?;
+        self.reject_nonlinear("solve_streaming_opts")?;
         self.check_channels(std::slice::from_ref(inputs))?;
         let kernel = self.window_kernel(windows)?;
         let out = self.output_map();
@@ -1738,31 +1567,18 @@ impl SimPlan {
         Ok(final_state)
     }
 
-    /// Newton solve of a (possibly nonlinear) plan over the whole
-    /// horizon as one window: [`SimPlan::solve_newton_windowed`] with
-    /// `windows = 1`.
-    ///
-    /// On a **linear** netlist (no devices) this is *bit-identical* to
-    /// [`SimPlan::solve`] — the full-value Newton iterate of the
-    /// endpoint recurrence reproduces the linear recurrence exactly, so
-    /// the call delegates to the linear sweep and merely books one
-    /// Newton iteration per column into the
-    /// [`FactorProfile`].
-    ///
-    /// # Errors
-    /// As [`SimPlan::solve_newton_windowed`].
-    pub fn solve_newton(
-        &self,
-        inputs: &InputSet,
-        opts: &NewtonOptions,
-    ) -> Result<OpmResult, OpmError> {
-        self.solve_newton_windowed(inputs, 1, opts)
-    }
-
     /// Windowed Newton solve: the horizon split into `windows` windows
     /// of `m` columns each, every column solved by SPICE-style
     /// full-value Newton iteration over the endpoint recurrence
     /// `(σE − A)·x_j − f(x_j) = σE·e_j + B·u_j`, `e_{j+1} = 2x_j − e_j`.
+    /// `windows = 1` is the whole horizon as one window.
+    ///
+    /// On a **linear** netlist (no devices) this is *bit-identical* to
+    /// [`SimPlan::solve`] (`windows = 1`) or
+    /// [`SimPlan::solve_windowed_opts`] — the full-value Newton iterate
+    /// of the endpoint recurrence reproduces the linear recurrence
+    /// exactly, so the call delegates to the linear sweep and merely
+    /// books one Newton iteration per column into the [`FactorProfile`].
     ///
     /// Cost shape: **one** symbolic analysis for the whole solve (the
     /// plan's recorded [`opm_sparse::SymbolicLu`]); every Newton
@@ -2267,8 +2083,10 @@ impl SimPlan {
 
     // -- internals ----------------------------------------------------------
 
-    /// Projects waveforms onto the plan's uniform grid (derivative
-    /// averages for second-order plans).
+    /// Projects waveforms onto the plan's uniform grid. Second-order
+    /// plans (`M₂ ẍ + M₁ ẋ + M₀ x = B·u̇`) take the *undifferentiated*
+    /// `u(t)` and differentiate it exactly: the `u̇` interval averages are
+    /// endpoint differences over the interval width.
     fn project(&self, ws: &InputSet) -> Result<Vec<Vec<f64>>, OpmError> {
         if matches!(
             self.kind,
@@ -2434,13 +2252,28 @@ fn axpy(y: &mut [f64], x: &[f64], a: f64) {
 // Per-kind block sweeps (the strategies, K lanes wide)
 // ---------------------------------------------------------------------------
 
-/// Linear two-term recurrence or the paper's literal alternating
-/// accumulator, K lanes wide (paper §III; see [`crate::linear`] for the
-/// derivation), against a **per-lane** constant forcing block
-/// `c_force = A·x₀` (all zeros for zero initial conditions). Serves
-/// both whole-horizon solves (x₀ replicated across the lanes) and
-/// windowed solves (each lane restarts from its own carried
-/// end-of-window state) — one body, so the two paths cannot diverge.
+/// Linear OPM (paper §III), K lanes wide. The matrix equation
+/// `E X D = A X + B U` with the uniform-step BPF operator `D` (`σ = 2/h`)
+/// is solved column by column. Eliminating the running accumulator
+/// between consecutive columns gives the *stable two-term recurrence*
+///
+/// ```text
+/// (σE − A)·x_j = (σE + A)·x_{j−1} + B·(u_j + u_{j−1})
+/// ```
+///
+/// — one LU, one solve per column, `O(n^β m)` total, and algebraically
+/// the trapezoidal rule. `accumulator` instead runs the paper's literal
+/// form, `(σE − A)·z_j = B·u_j + c − 2σ·E·g_j` with the alternating
+/// accumulator `g_j = Σ_{i<j} (−1)^{j−i}·z_i` — identical up to roundoff,
+/// kept for cross-validation.
+///
+/// Nonzero initial conditions use the state shift `z = x − x₀` (the BPF
+/// derivative expansion assumes `x(0⁻) = 0`), so `c_force = A·x₀` joins
+/// the input as a **per-lane** constant forcing block (all zeros for
+/// zero initial conditions). Serves both whole-horizon solves (x₀
+/// replicated across the lanes) and windowed solves (each lane restarts
+/// from its own carried end-of-window state) — one body, so the two
+/// paths cannot diverge.
 fn sweep_linear_block(
     sys: &DescriptorSystem,
     lu: &SparseLu,
@@ -2487,8 +2320,20 @@ fn sweep_linear_block(
     })
 }
 
-/// Fractional nilpotent-series convolution, K lanes wide (paper §IV),
-/// with an optional carried history tail: the memory term of column `j`
+/// Fractional OPM (paper §IV), K lanes wide. The fractional operational
+/// matrix `D^α` is the upper-triangular Toeplitz matrix with first row
+/// `(2/h)^α·(ρ₀, ρ₁, …, ρ_{m−1})`, the nilpotent-series coefficients of
+/// `((1−q)/(1+q))^α` (paper Eq. 22). Column `j` of
+/// `E X D^α = A X + B U` reads
+///
+/// ```text
+/// (ρ₀·E − A)·x_j = B·u_j − E·Σ_{k=1}^{j} ρ_k·x_{j−k}
+/// ```
+///
+/// — one LU but an `O(m)` history convolution per column:
+/// `O(n^β m + n m²)` total, the paper's §IV complexity, with zero
+/// (Caputo) initial conditions. With a carried history tail, the
+/// memory term of column `j`
 /// splits into the window-local part `Σ_{t=1}^{j} ρ_t·x_{j−t}` plus the
 /// carried part `Σ_{d} ρ_{j+d}·tail[end−d]` over previous windows'
 /// retained columns (empty `tail` ⇒ the whole-horizon solve, so the two
@@ -2561,8 +2406,17 @@ fn sweep_mt_recurrence_window(
     })
 }
 
-/// Multi-term sweep (finite recurrence or per-term convolution), K lanes
-/// wide.
+/// Multi-term OPM `Σ_k A_k·d^{α_k} x = B·u`, K lanes wide — the paper's
+/// high-order systems (§IV), including the Table II second-order grid.
+///
+/// - **Integer orders** (recurrence path): right-multiplying the column
+///   equation by `(1 + Q)^K` (K = max order) turns every term's symbol
+///   into the *finite* polynomial `(2/h)^{α_k}·(1−q)^{α_k}·(1+q)^{K−α_k}`
+///   of degree `K`, so each column needs only the last `K` columns:
+///   `O(n^β m)`, the linear solver's cost class (for K = 1 it *is* the
+///   trapezoidal recurrence).
+/// - **Fractional orders** (convolution path): per-term series
+///   convolution, `O(n^β m + #terms·n·m²)`.
 fn sweep_multiterm_block(mt: &MultiTermSystem, plan: &MtPlan, lc: &LaneCoeffs) -> BlockOutcome {
     let n = mt.order();
     let k = lc.lanes;
@@ -2734,16 +2588,13 @@ fn mt_recurrence_data(mt: &MultiTermSystem, h: f64) -> (Vec<Vec<f64>>, Vec<f64>)
 
 /// Precomputes the multi-term pencil + per-term symbol data and factors
 /// once (recording the symbolic analysis for window refactorization).
-fn mt_plan(
-    mt: &MultiTermSystem,
-    m: usize,
-    t_end: f64,
-    select: &MtSelect,
-) -> Result<MtPlan, OpmError> {
+/// `method` picks the path: `Recurrence` insists on integer orders,
+/// `Convolution` forces the series path, anything else (`Auto`) takes
+/// the recurrence exactly when every order is an integer.
+fn mt_plan(mt: &MultiTermSystem, m: usize, t_end: f64, method: Method) -> Result<MtPlan, OpmError> {
     let h = t_end / m as f64;
-    let recurrence = match select {
-        MtSelect::Auto => mt_all_integer(mt),
-        MtSelect::Recurrence => {
+    let recurrence = match method {
+        Method::Recurrence => {
             for t in mt.terms() {
                 if t.alpha.fract() != 0.0 {
                     return Err(OpmError::BadArguments(format!(
@@ -2754,7 +2605,8 @@ fn mt_plan(
             }
             true
         }
-        MtSelect::Convolution => false,
+        Method::Convolution => false,
+        _ => mt_all_integer(mt),
     };
     if recurrence {
         let (polys, bw) = mt_recurrence_data(mt, h);
@@ -2791,7 +2643,7 @@ fn mt_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Problem, SolveOptions};
+    use crate::engine::SolveOptions;
     use opm_sparse::{CooMatrix, CsrMatrix};
     use opm_waveform::Waveform;
 
@@ -2801,29 +2653,6 @@ mod tests {
         let mut b = CooMatrix::new(1, 1);
         b.push(0, 0, 1.0);
         DescriptorSystem::new(CsrMatrix::identity(1), am.to_csr(), b.to_csr(), None).unwrap()
-    }
-
-    #[test]
-    fn plan_solve_matches_problem_solve() {
-        let sys = scalar(-1.0);
-        let inputs = InputSet::new(vec![Waveform::Dc(1.0)]);
-        let opts = SolveOptions::new().resolution(64);
-        let via_problem = Problem::linear(&sys)
-            .waveforms(&inputs)
-            .horizon(2.0)
-            .solve(&opts)
-            .unwrap();
-        let sim = Simulation::from_system(sys).horizon(2.0);
-        let plan = sim.plan(&opts).unwrap();
-        let via_plan = plan.solve(&inputs).unwrap();
-        for j in 0..64 {
-            assert_eq!(
-                via_problem.state_coeff(0, j),
-                via_plan.state_coeff(0, j),
-                "column {j}"
-            );
-        }
-        assert_eq!(plan.num_factorizations(), 1);
     }
 
     #[test]
@@ -2874,11 +2703,13 @@ mod tests {
 
         // The plan (and its cached window kernel) survives: the same
         // solve without a token completes and matches an untouched run.
-        let ok = plan.solve_windowed(&u, 8).unwrap();
+        let ok = plan
+            .solve_windowed_opts(&u, &WindowedOptions::new(8))
+            .unwrap();
         let fresh = sim
             .plan(&SolveOptions::new().resolution(16))
             .unwrap()
-            .solve_windowed(&u, 8)
+            .solve_windowed_opts(&u, &WindowedOptions::new(8))
             .unwrap();
         for j in 0..ok.num_intervals() {
             assert_eq!(
@@ -3007,18 +2838,10 @@ mod tests {
         };
         let na = assemble_na(&spec.build(), &[]).unwrap();
         let (m, t_end) = (32, 5e-9);
-        // Pins the deprecated wrapper's delegation onto this very plan.
-        #[allow(deprecated)]
-        let direct =
-            crate::second_order::solve_second_order(&na.system, &na.inputs, t_end, m).unwrap();
         let sim = Simulation::from_second_order(na.system).horizon(t_end);
         let plan = sim.plan(&SolveOptions::new().resolution(m)).unwrap();
         let via_plan = plan.solve(&na.inputs).unwrap();
-        for j in 0..m {
-            for i in 0..via_plan.order() {
-                assert_eq!(direct.state_coeff(i, j), via_plan.state_coeff(i, j));
-            }
-        }
+        assert_eq!(via_plan.num_intervals(), m);
         // Coefficients are rejected: the plan must differentiate.
         assert!(plan.solve_coeffs(&vec![vec![0.0; m]; 2]).is_err());
     }
@@ -3145,7 +2968,9 @@ mod tests {
             .initial_state(vec![3.0]);
         let inputs = InputSet::new(vec![Waveform::Dc(0.0)]);
         let plan = sim.plan(&SolveOptions::new().resolution(16)).unwrap();
-        let windowed = plan.solve_windowed(&inputs, 8).unwrap();
+        let windowed = plan
+            .solve_windowed_opts(&inputs, &WindowedOptions::new(8))
+            .unwrap();
         let whole = sim
             .plan(&SolveOptions::new().resolution(128))
             .unwrap()
@@ -3166,7 +2991,7 @@ mod tests {
         let rec = sim
             .plan(&SolveOptions::new().resolution(24))
             .unwrap()
-            .solve_windowed(&inputs, 6)
+            .solve_windowed_opts(&inputs, &WindowedOptions::new(6))
             .unwrap();
         let acc = sim
             .plan(
@@ -3175,7 +3000,7 @@ mod tests {
                     .method(Method::Accumulator),
             )
             .unwrap()
-            .solve_windowed(&inputs, 6)
+            .solve_windowed_opts(&inputs, &WindowedOptions::new(6))
             .unwrap();
         for j in 0..rec.num_intervals() {
             assert!((rec.state_coeff(0, j) - acc.state_coeff(0, j)).abs() < 1e-10);
@@ -3190,14 +3015,24 @@ mod tests {
         let plana = sima
             .plan(&SolveOptions::new().adaptive(AdaptiveOpmOptions::default()))
             .unwrap();
-        let msg = format!("{}", plana.solve_windowed(&inputs, 2).unwrap_err());
+        let msg = format!(
+            "{}",
+            plana
+                .solve_windowed_opts(&inputs, &WindowedOptions::new(2))
+                .unwrap_err()
+        );
         assert!(msg.contains("adaptive"), "{msg}");
         // The dense Kronecker oracle is whole-horizon by construction.
         let simk = Simulation::from_system(scalar(-1.0)).horizon(1.0);
         let plank = simk
             .plan(&SolveOptions::new().resolution(8).method(Method::Kronecker))
             .unwrap();
-        let msg = format!("{}", plank.solve_windowed(&inputs, 2).unwrap_err());
+        let msg = format!(
+            "{}",
+            plank
+                .solve_windowed_opts(&inputs, &WindowedOptions::new(2))
+                .unwrap_err()
+        );
         assert!(msg.contains("Kronecker"), "{msg}");
         // Step-grid plans resolve the horizon on their explicit grid.
         let fsys = FractionalSystem::new(0.5, scalar(-1.0)).unwrap();
@@ -3205,11 +3040,18 @@ mod tests {
         let plang = simg
             .plan(&SolveOptions::new().step_grid(crate::adaptive::geometric_grid(1.0, 8, 1.2)))
             .unwrap();
-        let msg = format!("{}", plang.solve_windowed(&inputs, 2).unwrap_err());
+        let msg = format!(
+            "{}",
+            plang
+                .solve_windowed_opts(&inputs, &WindowedOptions::new(2))
+                .unwrap_err()
+        );
         assert!(msg.contains("step-grid"), "{msg}");
         // Zero windows is a plain argument error.
         let plan = sima.plan(&SolveOptions::new().resolution(8)).unwrap();
-        assert!(plan.solve_windowed(&inputs, 0).is_err());
+        assert!(plan
+            .solve_windowed_opts(&inputs, &WindowedOptions::new(0))
+            .is_err());
     }
 
     #[test]
@@ -3222,7 +3064,9 @@ mod tests {
         let inputs = InputSet::new(vec![Waveform::step(0.3, 1.0)]);
         let (m, windows) = (16, 8);
         let plan = sim.plan(&SolveOptions::new().resolution(m)).unwrap();
-        let windowed = plan.solve_windowed(&inputs, windows).unwrap();
+        let windowed = plan
+            .solve_windowed_opts(&inputs, &WindowedOptions::new(windows))
+            .unwrap();
         let whole = sim
             .plan(&SolveOptions::new().resolution(m * windows))
             .unwrap()
@@ -3248,7 +3092,9 @@ mod tests {
         let inputs = InputSet::new(vec![Waveform::Dc(1.0)]);
         let (m, windows) = (16, 8);
         let plan = sim.plan(&SolveOptions::new().resolution(m)).unwrap();
-        let full = plan.solve_windowed(&inputs, windows).unwrap();
+        let full = plan
+            .solve_windowed_opts(&inputs, &WindowedOptions::new(windows))
+            .unwrap();
         let err_at = |cap: usize| {
             let opts = WindowedOptions::new(windows).history_len(cap);
             let r = plan.solve_windowed_opts(&inputs, &opts).unwrap();
@@ -3298,7 +3144,9 @@ mod tests {
         let inputs = InputSet::new(vec![Waveform::sine(0.2, 1.0, 2.0, 0.0, 0.1)]);
         let (m, windows) = (16, 4);
         let plan = sim.plan(&SolveOptions::new().resolution(m)).unwrap();
-        let windowed = plan.solve_windowed(&inputs, windows).unwrap();
+        let windowed = plan
+            .solve_windowed_opts(&inputs, &WindowedOptions::new(windows))
+            .unwrap();
         let whole = sim
             .plan(&SolveOptions::new().resolution(m * windows))
             .unwrap()
@@ -3325,7 +3173,9 @@ mod tests {
         let inputs = InputSet::new(vec![Waveform::step(0.5, 1.0)]);
         let (m, windows) = (16, 4);
         let plan = sim.plan(&SolveOptions::new().resolution(m)).unwrap();
-        let windowed = plan.solve_windowed(&inputs, windows).unwrap();
+        let windowed = plan
+            .solve_windowed_opts(&inputs, &WindowedOptions::new(windows))
+            .unwrap();
         let whole = sim
             .plan(&SolveOptions::new().resolution(m * windows))
             .unwrap()
@@ -3347,7 +3197,7 @@ mod tests {
         let inputs = InputSet::new(vec![Waveform::Dc(2.0)]);
         let mut seen = 0usize;
         let end = plan
-            .solve_streaming(&inputs, 32, |block| {
+            .solve_streaming_opts(&inputs, &WindowedOptions::new(32), |block| {
                 assert_eq!(block.result.num_intervals(), 8);
                 assert_eq!(block.end_state.len(), 1);
                 seen += 1;

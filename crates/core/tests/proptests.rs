@@ -6,45 +6,43 @@
 //! run exercises the identical sample set — failures reproduce exactly.
 
 use opm_core::kron_solve::{kron_solve_fractional, kron_solve_linear};
-use opm_core::{Method, OpmResult, Problem, SolveOptions};
+use opm_core::{Method, OpmResult, Simulation, SolveOptions};
 use opm_rng::StdRng;
 use opm_sparse::{CooMatrix, CsrMatrix};
 use opm_system::{DescriptorSystem, FractionalSystem};
 
 const CASES: usize = 24;
 
-/// One-shot linear solve through the engine front door (the randomized
-/// properties below target the strategy the plan layer dispatches to).
-fn solve_linear(sys: &DescriptorSystem, u: &[Vec<f64>], t_end: f64, x0: &[f64]) -> OpmResult {
-    Problem::linear(sys)
-        .coeffs(u)
-        .horizon(t_end)
-        .initial_state(x0)
-        .solve(&SolveOptions::new())
-        .unwrap()
-}
-
-/// As [`solve_linear`], forced onto the paper's literal accumulator path.
-fn solve_linear_accumulator(
+/// One-shot linear solve of a coefficient stimulus through a plan used
+/// once, `method` picking the column recurrence.
+fn solve_linear_with(
     sys: &DescriptorSystem,
     u: &[Vec<f64>],
     t_end: f64,
     x0: &[f64],
+    method: Method,
 ) -> OpmResult {
-    Problem::linear(sys)
-        .coeffs(u)
+    Simulation::from_system(sys.clone())
         .horizon(t_end)
-        .initial_state(x0)
-        .solve(&SolveOptions::new().method(Method::Accumulator))
+        .initial_state(x0.to_vec())
+        .plan(&SolveOptions::new().resolution(u[0].len()).method(method))
+        .unwrap()
+        .solve_coeffs(u)
         .unwrap()
 }
 
-/// One-shot fractional solve through the engine front door.
+/// The default (two-term recurrence) linear path.
+fn solve_linear(sys: &DescriptorSystem, u: &[Vec<f64>], t_end: f64, x0: &[f64]) -> OpmResult {
+    solve_linear_with(sys, u, t_end, x0, Method::Auto)
+}
+
+/// One-shot fractional solve of a coefficient stimulus.
 fn solve_fractional(fsys: &FractionalSystem, u: &[Vec<f64>], t_end: f64) -> OpmResult {
-    Problem::fractional(fsys)
-        .coeffs(u)
+    Simulation::from_fractional(fsys.clone())
         .horizon(t_end)
-        .solve(&SolveOptions::new())
+        .plan(&SolveOptions::new().resolution(u[0].len()))
+        .unwrap()
+        .solve_coeffs(u)
         .unwrap()
 }
 
@@ -98,7 +96,7 @@ fn accumulator_equals_recurrence() {
         let sys = small_system(&mut rng, 4);
         let u = inputs(&mut rng, 16);
         let a = solve_linear(&sys, &u, 2.0, &[0.0; 4]);
-        let b = solve_linear_accumulator(&sys, &u, 2.0, &[0.0; 4]);
+        let b = solve_linear_with(&sys, &u, 2.0, &[0.0; 4], Method::Accumulator);
         for j in 0..16 {
             for i in 0..4 {
                 assert!((a.state_coeff(i, j) - b.state_coeff(i, j)).abs() < 1e-8);

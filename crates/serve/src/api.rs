@@ -304,17 +304,44 @@ fn parse_triplets(
     Ok(coo.to_csr())
 }
 
+/// Rejects a declared matrix dimension larger than the triplets that
+/// could fill it. Every dimension sizes an allocation (`to_csr` reserves
+/// one row pointer per row), so it must be bounded by the body itself
+/// before any matrix is built.
+fn check_dim(field: &str, dim: usize, triplets: usize, of: &str) -> Result<(), ApiError> {
+    if dim > triplets {
+        return Err(ApiError::bad(format!(
+            "`{field}` = {dim} exceeds the {triplets} triplet(s) of {of}"
+        )));
+    }
+    Ok(())
+}
+
 fn parse_model(model: &Json) -> Result<Simulation, ApiError> {
+    let triplets = |field: &str| {
+        model
+            .get(field)
+            .and_then(Json::as_array)
+            .map_or(0, <[Json]>::len)
+    };
     let n = model
         .get("n")
         .and_then(Json::as_usize)
         .filter(|&n| n > 0)
         .ok_or_else(|| ApiError::bad("`model.n` (state dimension) is required"))?;
+    // A pencil row with no `e` or `a` entry is singular anyway.
+    check_dim(
+        "model.n",
+        n,
+        triplets("e") + triplets("a"),
+        "`model.e` and `model.a`",
+    )?;
     let p = model
         .get("inputs")
         .and_then(Json::as_usize)
         .filter(|&p| p > 0)
         .ok_or_else(|| ApiError::bad("`model.inputs` (input count) is required"))?;
+    check_dim("model.inputs", p, triplets("b"), "`model.b`")?;
     let e = parse_triplets(
         model
             .get("e")
@@ -346,6 +373,7 @@ fn parse_model(model: &Json) -> Result<Simulation, ApiError> {
                 .and_then(Json::as_usize)
                 .filter(|&q| q > 0)
                 .ok_or_else(|| ApiError::bad("`model.outputs` is required alongside `model.c`"))?;
+            check_dim("model.outputs", q, triplets("c"), "`model.c`")?;
             Some(parse_triplets(c, q, n, "model.c")?)
         }
         None => None,

@@ -15,7 +15,7 @@
 use std::time::Duration;
 
 use opm_core::json::Json;
-use opm_core::{Simulation, SolveOptions};
+use opm_core::{Simulation, SolveOptions, WindowedOptions};
 use opm_serve::client::{Client, ClientConfig};
 use opm_serve::{client, spawn, ServerConfig};
 
@@ -82,9 +82,9 @@ fn chaos_faults_never_touch_healthy_traffic() {
         .horizon(5e-3);
     let plan = sim.plan(&SolveOptions::new().resolution(128)).unwrap();
     let want: Vec<f64> = plan
-        .solve_windowed(
+        .solve_windowed_opts(
             &opm_waveform::InputSet::new(vec![opm_waveform::Waveform::step(0.0, 5.0)]),
-            4,
+            &WindowedOptions::new(4),
         )
         .unwrap()
         .output_row(0)

@@ -421,3 +421,45 @@ fn raw_model_entry() {
     assert!(r.body.contains("scenarios"), "{}", r.body);
     server.shutdown();
 }
+
+/// A unit-lag model body declaring the given dimensions (all 1 is the
+/// valid model).
+fn model_body(n: u64, inputs: u64, outputs: u64) -> String {
+    format!(
+        r#"{{"model": {{"n": {n}, "inputs": {inputs}, "outputs": {outputs},
+                  "e": [[0, 0, 1.0]], "a": [[0, 0, -1.0]],
+                  "b": [[0, 0, 1.0]], "c": [[0, 0, 1.0]]}},
+            "horizon": 1.0, "options": {{"resolution": 16}},
+            "scenarios": [[{{"kind": "dc", "value": 1.0}}]]}}"#
+    )
+}
+
+/// A small body declaring a huge dimension must get a 400 naming the
+/// field before any matrix is sized from it, and the daemon must go on
+/// serving.
+fn assert_dimension_rejected(field: &str, body: &str) {
+    let server = spawn(ServerConfig::default()).unwrap();
+    let r = client::post(server.addr(), "/solve", body).unwrap();
+    assert_eq!(r.status, 400, "{}", r.body);
+    assert!(r.body.contains(field), "{}", r.body);
+    let r = client::post(server.addr(), "/solve", &model_body(1, 1, 1)).unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    server.shutdown();
+}
+
+const HUGE: u64 = 1_000_000_000_000;
+
+#[test]
+fn oversized_model_n_is_rejected() {
+    assert_dimension_rejected("model.n", &model_body(HUGE, 1, 1));
+}
+
+#[test]
+fn oversized_model_inputs_is_rejected() {
+    assert_dimension_rejected("model.inputs", &model_body(1, HUGE, 1));
+}
+
+#[test]
+fn oversized_model_outputs_is_rejected() {
+    assert_dimension_rejected("model.outputs", &model_body(1, 1, HUGE));
+}

@@ -6,7 +6,7 @@ use std::sync::Barrier;
 
 use opm_core::json::Json;
 use opm_core::Simulation;
-use opm_core::SolveOptions;
+use opm_core::{SolveOptions, WindowedOptions};
 use opm_serve::api::RequestDoc;
 use opm_serve::{client, spawn, Server, ServerConfig};
 
@@ -107,7 +107,7 @@ fn source_only_edits_share_a_plan_and_keep_their_sources() {
             .unwrap()
             .horizon(5e-3);
         let plan = sim.plan(&SolveOptions::new().resolution(64)).unwrap();
-        plan.solve_windowed(sim.inputs().unwrap(), 2)
+        plan.solve_windowed_opts(sim.inputs().unwrap(), &WindowedOptions::new(2))
             .unwrap()
             .output_row(0)
             .iter()

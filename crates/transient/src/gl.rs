@@ -14,7 +14,6 @@
 use crate::result::TransientResult;
 use crate::util::{add_b_u, factor_shifted, validate};
 use crate::TransientError;
-use opm_fracnum::history::history_convolution_into;
 use opm_fracnum::GrunwaldCoefficients;
 use opm_system::FractionalSystem;
 use opm_waveform::InputSet;
@@ -49,10 +48,15 @@ pub fn gl_fractional(
     for step in 1..=m {
         let t = step as f64 * h;
         // conv = Σ_{k=1}^{step−1} w_k·x_{step−k}; history before t=0 is 0.
-        // The shared kernel also powers the OPM windowed fractional
-        // restart, so the baseline and OPM cannot drift apart.
+        // A plain loop on purpose: this baseline checks the OPM
+        // fractional paths, so it shares none of their convolution code.
         conv.iter_mut().for_each(|v| *v = 0.0);
-        history_convolution_into(weights.as_slice(), 0, &xs, &mut conv);
+        for (k, x) in xs.iter().rev().enumerate() {
+            let w = weights.weight(k + 1);
+            for (c, xi) in conv.iter_mut().zip(x) {
+                *c += w * xi;
+            }
+        }
         sys.e().mul_vec_into(&conv, &mut ew);
         rhs.iter_mut().for_each(|v| *v = 0.0);
         let u = inputs.eval(t);

@@ -5,10 +5,9 @@
 //! Run with `cargo run --example basis_gallery`.
 
 use opm::basis::{Basis, BpfBasis, HaarBasis, LegendreBasis, WalshBasis};
-// Non-BPF bases solve through the basis-generic oracle; the plan layer
-// ([`opm::prelude::Simulation`]) is BPF-specialized by design.
-#[allow(deprecated)]
-use opm::core::general_basis::solve_general_basis;
+// Non-BPF bases solve through the basis-generic integral form; the
+// `Simulation` plan layer is BPF-specialized by design.
+use opm::core::general_basis::GeneralBasisPlan;
 use opm::sparse::{CooMatrix, CsrMatrix};
 use opm::system::DescriptorSystem;
 use opm::waveform::{InputSet, Waveform};
@@ -37,8 +36,9 @@ fn main() {
 
     let mut errors = Vec::new();
     for (name, basis) in &bases {
-        #[allow(deprecated)]
-        let r = solve_general_basis(&sys, basis.as_ref(), &inputs, &[0.0]).unwrap();
+        let r = GeneralBasisPlan::new(&sys, basis.as_ref(), &[0.0])
+            .and_then(|plan| plan.solve(&inputs))
+            .unwrap();
         let mut err = 0.0f64;
         for i in 0..400 {
             let t = t_end * (i as f64 + 0.5) / 400.0;

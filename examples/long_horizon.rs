@@ -31,7 +31,9 @@ fn main() {
     let plan = sim.plan(&SolveOptions::new().resolution(m)).unwrap();
 
     // Whole-horizon answer, assembled in memory: W·m columns.
-    let full = plan.solve_windowed(sim.inputs().unwrap(), windows).unwrap();
+    let full = plan
+        .solve_windowed_opts(sim.inputs().unwrap(), &WindowedOptions::new(windows))
+        .unwrap();
     let p = plan.factor_profile();
     println!(
         "windowed : {} windows × {m} columns = {} intervals, \
@@ -50,17 +52,21 @@ fn main() {
     // Streaming: watch the charge curve go by, one window at a time.
     println!("streaming: first 5 window endpoints");
     let final_state = plan
-        .solve_streaming(sim.inputs().unwrap(), windows, |block| {
-            if block.window < 5 {
-                let t = block.result.bounds.last().unwrap() / tau;
-                println!(
-                    "           window {:>2}: t = {:>4.1} τ, v(out) = {:.4} V",
-                    block.window,
-                    t,
-                    block.result.output_row(0).last().unwrap()
-                );
-            }
-        })
+        .solve_streaming_opts(
+            sim.inputs().unwrap(),
+            &WindowedOptions::new(windows),
+            |block| {
+                if block.window < 5 {
+                    let t = block.result.bounds.last().unwrap() / tau;
+                    println!(
+                        "           window {:>2}: t = {:>4.1} τ, v(out) = {:.4} V",
+                        block.window,
+                        t,
+                        block.result.output_row(0).last().unwrap()
+                    );
+                }
+            },
+        )
         .unwrap();
     println!(
         "           final state after {windows} windows: {:?}",

@@ -149,7 +149,9 @@ fn solve_newton_on_linear_netlists_is_bit_identical_to_solve() {
         let before = plan.factor_profile();
         let linear = plan.solve(inputs).unwrap();
         let mid = plan.factor_profile();
-        let newton = plan.solve_newton(inputs, &NewtonOptions::new()).unwrap();
+        let newton = plan
+            .solve_newton_windowed(inputs, 1, &NewtonOptions::new())
+            .unwrap();
         let after = plan.factor_profile();
 
         for j in 0..m {

@@ -49,7 +49,9 @@ fn windowed_equals_whole_horizon_on_rc() {
         .horizon(t_end);
 
     let plan = sim.plan(&SolveOptions::new().resolution(m)).unwrap();
-    let windowed = plan.solve_windowed(sim.inputs().unwrap(), windows).unwrap();
+    let windowed = plan
+        .solve_windowed_opts(sim.inputs().unwrap(), &WindowedOptions::new(windows))
+        .unwrap();
 
     let whole_plan = sim
         .plan(&SolveOptions::new().resolution(m * windows))
@@ -72,7 +74,8 @@ fn windowed_equals_whole_horizon_on_rc() {
     assert_eq!(p.num_windows, windows);
 
     // Solving again (same W) factors nothing further.
-    plan.solve_windowed(sim.inputs().unwrap(), windows).unwrap();
+    plan.solve_windowed_opts(sim.inputs().unwrap(), &WindowedOptions::new(windows))
+        .unwrap();
     let p2 = plan.factor_profile();
     assert_eq!((p2.num_symbolic, p2.num_numeric), (1, 1));
     assert_eq!(p2.num_windows, 2 * windows);
@@ -86,7 +89,9 @@ fn windowed_equals_whole_horizon_on_rlc() {
         .horizon(t_end);
 
     let plan = sim.plan(&SolveOptions::new().resolution(m)).unwrap();
-    let windowed = plan.solve_windowed(sim.inputs().unwrap(), windows).unwrap();
+    let windowed = plan
+        .solve_windowed_opts(sim.inputs().unwrap(), &WindowedOptions::new(windows))
+        .unwrap();
     let whole = sim
         .plan(&SolveOptions::new().resolution(m * windows))
         .unwrap()
@@ -111,11 +116,15 @@ fn streaming_concatenation_equals_windowed() {
     let plan = sim.plan(&SolveOptions::new().resolution(m)).unwrap();
     let inputs = sim.inputs().unwrap();
 
-    let windowed = plan.solve_windowed(inputs, windows).unwrap();
+    let windowed = plan
+        .solve_windowed_opts(inputs, &WindowedOptions::new(windows))
+        .unwrap();
 
     let mut blocks = Vec::new();
     let final_state = plan
-        .solve_streaming(inputs, windows, |block| blocks.push(block))
+        .solve_streaming_opts(inputs, &WindowedOptions::new(windows), |block| {
+            blocks.push(block)
+        })
         .unwrap();
 
     assert_eq!(blocks.len(), windows);
@@ -173,15 +182,23 @@ fn windowed_batch_equals_loop_bitwise() {
         })
         .collect();
 
-    let batch = plan.solve_windowed_batch(&sets, windows).unwrap();
+    let batch = plan
+        .solve_windowed_batch_opts(
+            &sets,
+            &WindowedOptions::new(windows),
+            opm::par::default_threads(),
+        )
+        .unwrap();
     assert_eq!(batch.len(), sets.len());
     for (set, b) in sets.iter().zip(&batch) {
-        let single = plan.solve_windowed(set, windows).unwrap();
+        let single = plan
+            .solve_windowed_opts(set, &WindowedOptions::new(windows))
+            .unwrap();
         assert_eq!(single.columns, b.columns, "batch must equal the loop");
     }
     for threads in [1, 2, 4, 16] {
         let par = plan
-            .solve_windowed_batch_with_threads(&sets, windows, threads)
+            .solve_windowed_batch_opts(&sets, &WindowedOptions::new(windows), threads)
             .unwrap();
         for (a, b) in batch.iter().zip(&par) {
             assert_eq!(a.columns, b.columns, "threads={threads}");
@@ -208,7 +225,9 @@ fn second_order_windowed_matches_whole_horizon() {
 
     let sim = Simulation::from_second_order(na.system.clone()).horizon(t_end);
     let plan = sim.plan(&SolveOptions::new().resolution(m)).unwrap();
-    let windowed = plan.solve_windowed(&na.inputs, windows).unwrap();
+    let windowed = plan
+        .solve_windowed_opts(&na.inputs, &WindowedOptions::new(windows))
+        .unwrap();
     let whole = sim
         .plan(&SolveOptions::new().resolution(m * windows))
         .unwrap()
@@ -247,7 +266,9 @@ fn fractional_windowed_equals_whole_horizon_on_rc_cpe() {
         .unwrap()
         .horizon(t_end);
     let plan = sim.plan(&SolveOptions::new().resolution(m)).unwrap();
-    let windowed = plan.solve_windowed(sim.inputs().unwrap(), windows).unwrap();
+    let windowed = plan
+        .solve_windowed_opts(sim.inputs().unwrap(), &WindowedOptions::new(windows))
+        .unwrap();
 
     let whole = sim
         .plan(&SolveOptions::new().resolution(m * windows))
@@ -300,7 +321,9 @@ fn fractional_windowed_equals_whole_horizon_on_rc_cpe() {
         .unwrap();
     let opts = WindowedOptions::new(windows).history_len(3 * m);
     let truncated = plan.solve_windowed_opts(&stim, &opts).unwrap();
-    let full_b = plan.solve_windowed(&stim, windows).unwrap();
+    let full_b = plan
+        .solve_windowed_opts(&stim, &WindowedOptions::new(windows))
+        .unwrap();
     let tdelta = max_abs_output_delta(&truncated, &whole_b);
     assert!(
         tdelta <= 1e-6,
@@ -325,9 +348,11 @@ fn fractional_streaming_and_batch_match_windowed() {
     let plan = sim.plan(&SolveOptions::new().resolution(m)).unwrap();
     let inputs = sim.inputs().unwrap();
 
-    let windowed = plan.solve_windowed(inputs, windows).unwrap();
+    let windowed = plan
+        .solve_windowed_opts(inputs, &WindowedOptions::new(windows))
+        .unwrap();
     let mut concat_cols: Vec<Vec<f64>> = Vec::new();
-    plan.solve_streaming(inputs, windows, |block| {
+    plan.solve_streaming_opts(inputs, &WindowedOptions::new(windows), |block| {
         assert_eq!(block.result.num_intervals(), m);
         concat_cols.extend(block.result.columns.iter().cloned());
     })
@@ -337,14 +362,22 @@ fn fractional_streaming_and_batch_match_windowed() {
     let sets: Vec<InputSet> = (0..5)
         .map(|i| InputSet::new(vec![Waveform::step(0.2e-6, 1.0 + 0.4 * i as f64)]))
         .collect();
-    let batch = plan.solve_windowed_batch(&sets, windows).unwrap();
+    let batch = plan
+        .solve_windowed_batch_opts(
+            &sets,
+            &WindowedOptions::new(windows),
+            opm::par::default_threads(),
+        )
+        .unwrap();
     for (set, b) in sets.iter().zip(&batch) {
-        let single = plan.solve_windowed(set, windows).unwrap();
+        let single = plan
+            .solve_windowed_opts(set, &WindowedOptions::new(windows))
+            .unwrap();
         assert_eq!(single.columns, b.columns, "batch must equal the loop");
     }
     for threads in [1, 2, 4, 16] {
         let par = plan
-            .solve_windowed_batch_with_threads(&sets, windows, threads)
+            .solve_windowed_batch_opts(&sets, &WindowedOptions::new(windows), threads)
             .unwrap();
         for (a, b) in batch.iter().zip(&par) {
             assert_eq!(a.columns, b.columns, "threads={threads}");
@@ -372,7 +405,9 @@ fn short_memory_error_decreases_monotonically() {
             .horizon(t_end);
         let plan = sim.plan(&SolveOptions::new().resolution(m)).unwrap();
         let inputs = sim.inputs().unwrap();
-        let full = plan.solve_windowed(inputs, windows).unwrap();
+        let full = plan
+            .solve_windowed_opts(inputs, &WindowedOptions::new(windows))
+            .unwrap();
 
         let err_at = |cap: usize| {
             let opts = WindowedOptions::new(windows).history_len(cap);
@@ -414,7 +449,9 @@ fn hundredfold_horizon_cross_checks_against_steppers() {
         .horizon(t_end);
     let plan = sim.plan(&SolveOptions::new().resolution(m)).unwrap();
     let inputs = sim.inputs().unwrap();
-    let windowed = plan.solve_windowed(inputs, windows).unwrap();
+    let windowed = plan
+        .solve_windowed_opts(inputs, &WindowedOptions::new(windows))
+        .unwrap();
     let p = plan.factor_profile();
     assert_eq!((p.num_symbolic, p.num_numeric, p.num_windows), (1, 1, 100));
 
@@ -471,11 +508,15 @@ fn windowed_solves_compose_with_sweeps_on_one_plan() {
     let plan: SimPlan = sim.plan(&SolveOptions::new().resolution(16)).unwrap();
     // Whole-horizon and windowed solves interleave freely on one plan.
     let whole = plan.solve(sim.inputs().unwrap()).unwrap();
-    let windowed = plan.solve_windowed(sim.inputs().unwrap(), 4).unwrap();
+    let windowed = plan
+        .solve_windowed_opts(sim.inputs().unwrap(), &WindowedOptions::new(4))
+        .unwrap();
     assert_eq!(whole.num_intervals(), 16);
     assert_eq!(windowed.num_intervals(), 64);
     // W = 1 windowing degenerates to the plan's own grid.
-    let one = plan.solve_windowed(sim.inputs().unwrap(), 1).unwrap();
+    let one = plan
+        .solve_windowed_opts(sim.inputs().unwrap(), &WindowedOptions::new(1))
+        .unwrap();
     assert_eq!(one.num_intervals(), 16);
     let delta = max_abs_output_delta(&one, &whole);
     assert!(
